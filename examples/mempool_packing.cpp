@@ -52,8 +52,6 @@ int main() {
     eth::Block block;
     block.number = block_number;
     block.timestamp = now;
-    if (!chain.empty())
-      block.parent_hash = chain.block_hash(block_number - 1);
     block.transactions = pool.pack_block(gas_limit);
     if (block.transactions.empty()) break;  // nothing fits
 

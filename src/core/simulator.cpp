@@ -823,6 +823,7 @@ void ShardingSimulator::run_pipelined(std::size_t replay_threads,
 SimulationResult ShardingSimulator::run() {
   ETHSHARD_CHECK_MSG(!ran_, "simulator is single-use");
   ran_ = true;
+  ETHSHARD_OBS_TIMER("sim/run_ms");
   ETHSHARD_OBS_SPAN("sim/run");
 
   result_.strategy_name = strategy_.name();

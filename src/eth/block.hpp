@@ -1,4 +1,4 @@
-// Blocks: batches of transactions cryptographically linked into a chain.
+// Blocks: numbered, timestamped batches of transactions.
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,9 @@
 
 namespace ethshard::eth {
 
-/// One block. Blocks are immutable once sealed (hash computed).
+/// One block. The workload producers and Chain never hash blocks and
+/// leave parent_hash zero; hash() and parent_hash serve the consensus
+/// substrate (BlockTree, pow), which links blocks itself.
 struct Block {
   std::uint64_t number = 0;
   util::Timestamp timestamp = 0;

@@ -13,19 +13,11 @@ void Chain::append(Block block) {
     const Block& prev = blocks_.back();
     ETHSHARD_CHECK_MSG(block.number == prev.number + 1,
                        "non-consecutive block number " << block.number);
-    ETHSHARD_CHECK_MSG(block.parent_hash == hashes_.back(),
-                       "parent hash mismatch at block " << block.number);
     ETHSHARD_CHECK_MSG(block.timestamp >= prev.timestamp,
                        "timestamp regression at block " << block.number);
   }
   tx_count_ += block.transactions.size();
-  hashes_.push_back(block.hash());
   blocks_.push_back(std::move(block));
-}
-
-const Hash256& Chain::block_hash(std::uint64_t number) const {
-  ETHSHARD_CHECK(number < hashes_.size());
-  return hashes_[number];
 }
 
 const Block& Chain::block(std::uint64_t number) const {
@@ -42,10 +34,7 @@ bool Chain::validate() const {
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     const Block& b = blocks_[i];
     if (b.number != i) return false;
-    if (i > 0) {
-      if (b.parent_hash != blocks_[i - 1].hash()) return false;
-      if (b.timestamp < blocks_[i - 1].timestamp) return false;
-    }
+    if (i > 0 && b.timestamp < blocks_[i - 1].timestamp) return false;
     if (!std::all_of(b.transactions.begin(), b.transactions.end(),
                      [](const Transaction& tx) { return tx.well_formed(); }))
       return false;

@@ -1,4 +1,5 @@
-// The canonical chain: an append-only, hash-linked sequence of blocks.
+// The canonical chain: an append-only, numbered and time-ordered sequence
+// of blocks.
 #pragma once
 
 #include <cstdint>
@@ -12,12 +13,14 @@ namespace ethshard::eth {
 ///
 /// Invariants maintained:
 ///  * block numbers are consecutive starting at 0 (genesis);
-///  * every block's parent_hash equals the previous block's hash;
 ///  * timestamps are non-decreasing.
+///
+/// Blocks are not hash-linked: no replay metric reads a block hash, so
+/// the chain never computes one and ignores Block::parent_hash.
 class Chain {
  public:
-  /// Appends a block after validating linkage. Throws util::CheckFailure
-  /// if the block does not extend the chain.
+  /// Appends a block after checking its number and timestamp. Throws
+  /// util::CheckFailure if the block does not extend the chain.
   void append(Block block);
 
   std::size_t size() const { return blocks_.size(); }
@@ -29,9 +32,9 @@ class Chain {
 
   const std::vector<Block>& blocks() const { return blocks_; }
 
-  /// Re-validates the whole chain from genesis (hash links, numbering,
-  /// timestamp monotonicity, transaction well-formedness). Returns true
-  /// iff every invariant holds. O(total transactions).
+  /// Re-validates the whole chain from genesis (numbering, timestamp
+  /// monotonicity, transaction well-formedness). Returns true iff every
+  /// invariant holds. O(total transactions).
   bool validate() const;
 
   /// Total transactions across all blocks.
@@ -41,13 +44,8 @@ class Chain {
   /// i.e. a lower-bound search usable for windowed replay.
   std::uint64_t first_block_at_or_after(util::Timestamp ts) const;
 
-  /// Cached hash of block `number` (computed once at append time).
-  /// Precondition: number < size().
-  const Hash256& block_hash(std::uint64_t number) const;
-
  private:
   std::vector<Block> blocks_;
-  std::vector<Hash256> hashes_;  // hashes_[i] == blocks_[i].hash(), cached
   std::uint64_t tx_count_ = 0;
 };
 

@@ -63,43 +63,57 @@ void CsvWriter::sep() {
   at_row_start_ = false;
 }
 
-std::vector<std::string> parse_csv_line(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string cur;
+namespace {
+/// The one field splitter behind parse_csv_line and CsvReader: fills
+/// `fields` in place, reusing its strings.
+void split_csv_line(std::string_view line, std::vector<std::string>& fields) {
+  std::size_t n = 0;
+  auto next_field = [&]() -> std::string& {
+    if (n == fields.size()) fields.emplace_back();
+    std::string& f = fields[n++];
+    f.clear();
+    return f;
+  };
+  std::string* cur = &next_field();
   bool in_quotes = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
+          *cur += '"';
           ++i;
         } else {
           in_quotes = false;
         }
       } else {
-        cur += c;
+        *cur += c;
       }
     } else if (c == '"') {
       in_quotes = true;
     } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
+      cur = &next_field();
     } else if (c == '\r') {
       // tolerate CRLF
     } else {
-      cur += c;
+      *cur += c;
     }
   }
-  fields.push_back(std::move(cur));
+  fields.resize(n);
+}
+}  // namespace
+
+std::vector<std::string> parse_csv_line(std::string_view line) {
+  std::vector<std::string> fields;
+  split_csv_line(line, fields);
   return fields;
 }
 
 bool CsvReader::read_row(std::vector<std::string>& fields) {
-  std::string line;
-  while (std::getline(*in_, line)) {
-    if (line.empty() || (line.size() == 1 && line[0] == '\r')) continue;
-    fields = parse_csv_line(line);
+  while (std::getline(*in_, buf_)) {
+    ++line_;
+    if (buf_.empty() || buf_ == "\r") continue;
+    split_csv_line(buf_, fields);
     return true;
   }
   return false;

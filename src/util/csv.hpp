@@ -36,8 +36,9 @@ class CsvWriter {
 };
 
 /// Parses one CSV line into fields (handles quoted fields with embedded
-/// commas and doubled quotes). Newlines inside quoted fields are not
-/// supported — trace files never contain them.
+/// commas and doubled quotes; a '\r' outside quotes is dropped, for CRLF
+/// files). Newlines inside quoted fields are not supported — trace files
+/// never contain them.
 std::vector<std::string> parse_csv_line(std::string_view line);
 
 /// Reads rows from a stream, skipping empty lines.
@@ -45,11 +46,21 @@ class CsvReader {
  public:
   explicit CsvReader(std::istream& in) : in_(&in) {}
 
-  /// Reads the next row into `fields`; returns false at end of stream.
+  /// Reads the next row into `fields` with parse_csv_line's rules;
+  /// returns false at end of stream. The strings already in `fields` are
+  /// overwritten and the vector resized to the row's field count, so a
+  /// caller that reuses `fields` allocates only when a field outgrows its
+  /// string.
   bool read_row(std::vector<std::string>& fields);
+
+  /// 1-based physical line number of the row read_row last returned,
+  /// counting skipped blank lines; 0 before the first row.
+  std::uint64_t line() const { return line_; }
 
  private:
   std::istream* in_;
+  std::string buf_;  // reused line buffer
+  std::uint64_t line_ = 0;
 };
 
 }  // namespace ethshard::util

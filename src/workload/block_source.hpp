@@ -9,9 +9,10 @@
 // already-materialized History for exact back-compat).
 //
 // Contract (every implementation):
-//  * blocks arrive in chain order — consecutive numbers from 0,
-//    non-decreasing timestamps, parent_hash linking to the previous
-//    emitted block;
+//  * blocks arrive in chain order — consecutive numbers from 0 and
+//    non-decreasing timestamps. Blocks are not hash-linked: no source
+//    computes a block hash or sets parent_hash, and no consumer reads
+//    either;
 //  * the stream is single-pass: next() after end-of-stream keeps
 //    returning false; there is no rewind (re-open through a
 //    BlockSourceFactory instead);
@@ -117,10 +118,7 @@ class BlockSourceFactory {
 /// producing a dormancy stretch with no traffic at all — the streaming
 /// analogue of with_traffic_gap (workload/generator.hpp), usable at
 /// scales where the chain is never materialized. Block numbers and
-/// contents are untouched; parent hashes are left as the inner source
-/// emitted them (replay consumers read timestamps and transactions, not
-/// hash links — re-seal through with_traffic_gap if you need a
-/// validating chain). Scenario files use this for the long
+/// contents are untouched. Scenario files use this for the long
 /// dormancy→reactivation stress shape.
 class TrafficGapSource final : public BlockSource {
  public:

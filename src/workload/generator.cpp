@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "eth/mempool.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace ethshard::workload {
@@ -319,9 +320,6 @@ History with_traffic_gap(const History& history, util::Timestamp gap_start,
   for (const eth::Block& b : history.chain.blocks()) {
     eth::Block shifted = b;
     if (shifted.timestamp >= gap_start) shifted.timestamp += gap_length;
-    shifted.parent_hash = out.chain.empty()
-                              ? eth::Hash256{}
-                              : out.chain.block_hash(out.chain.size() - 1);
     out.chain.append(std::move(shifted));
   }
   return out;
@@ -329,8 +327,8 @@ History with_traffic_gap(const History& history, util::Timestamp gap_start,
 
 /// The generator's interval loop, unrolled into a resumable pull. State
 /// that generate() used to keep in locals (loop clock, emitted tally,
-/// mempool, nonce map, chain tail for parent links) lives here instead,
-/// so next() can stop at every sealed block and pick up where it left
+/// mempool, nonce map, next block number) lives here instead, so
+/// next() can stop at every emitted block and pick up where it left
 /// off. The transaction synthesis order — and with it every RNG draw —
 /// is exactly that of the old loop.
 struct GeneratedSource::Impl {
@@ -340,7 +338,6 @@ struct GeneratedSource::Impl {
   util::Timestamp t;        // interval-loop clock
   double emitted = 0;       // cumulative interactions (calls) so far
   std::uint64_t block_number = 0;
-  eth::Hash256 last_hash{};  // parent link for the next sealed block
 
   eth::Mempool pool;
   std::unordered_map<AccountId, std::uint64_t> next_nonce;
@@ -362,16 +359,14 @@ struct GeneratedSource::Impl {
       s.new_account(cfg.model.genesis, /*pooled=*/true);
   }
 
-  /// Stamps number/timestamp/parent link onto `out` and advances the
-  /// chain tail. Never called with empty txs.
-  void seal(eth::Block& out, util::Timestamp time,
-            std::vector<Transaction> txs) {
+  /// Stamps the next number and `time` onto `out`. Never called with
+  /// empty txs.
+  void emit_block(eth::Block& out, util::Timestamp time,
+                  std::vector<Transaction> txs) {
     out = eth::Block{};
     out.number = block_number++;
     out.timestamp = time;
-    out.parent_hash = last_hash;
     out.transactions = std::move(txs);
-    last_hash = out.hash();
   }
 
   bool next(eth::Block& out) {
@@ -401,7 +396,7 @@ struct GeneratedSource::Impl {
 
       if (!cfg.use_mempool) {
         if (created.empty()) continue;
-        seal(out, block_time, std::move(created));
+        emit_block(out, block_time, std::move(created));
         return true;
       }
 
@@ -414,7 +409,7 @@ struct GeneratedSource::Impl {
       }
       std::vector<Transaction> packed = pool.pack_block(cfg.block_gas_limit);
       if (packed.empty()) continue;
-      seal(out, block_time, std::move(packed));
+      emit_block(out, block_time, std::move(packed));
       return true;
     }
 
@@ -422,7 +417,7 @@ struct GeneratedSource::Impl {
     if (cfg.use_mempool && !pool.empty()) {
       std::vector<Transaction> txs = pool.pack_block(cfg.block_gas_limit);
       if (!txs.empty()) {  // nothing fits (gas limit below one tx)
-        seal(out, model.end, std::move(txs));
+        emit_block(out, model.end, std::move(txs));
         return true;
       }
     }
@@ -455,6 +450,8 @@ EthereumHistoryGenerator::EthereumHistoryGenerator(GeneratorConfig cfg)
 }
 
 History EthereumHistoryGenerator::generate() {
+  ETHSHARD_OBS_TIMER("ingest/generate_ms");
+  ETHSHARD_OBS_SPAN("ingest/generate");
   GeneratedSource source(cfg_);
   History history;
   eth::Block block;

@@ -118,9 +118,10 @@ HistoryStats stats_of(const History& h);
 /// Copy of `history` with a quiet period spliced in: every block at or
 /// after `gap_start` is shifted `gap_length` seconds into the future, so
 /// the chain contains a stretch of `gap_length` with no traffic at all.
-/// Blocks are re-linked (parent hashes recomputed), so the result still
-/// validates. Used to stress the simulator's empty-window fast path and
-/// to model chains with long outages or pre-launch idle periods.
+/// Shifting every later block by the same amount keeps timestamps
+/// ordered, so the result still validates. Used to stress the
+/// simulator's empty-window fast path and to model chains with long
+/// outages or pre-launch idle periods.
 History with_traffic_gap(const History& history, util::Timestamp gap_start,
                          util::Timestamp gap_length);
 

@@ -123,15 +123,12 @@ ImportResult import_bigquery_traces(std::istream& in) {
 
   // Blocks are renumbered densely from 0 (the source export usually
   // starts mid-chain).
-  auto seal_block = [&] {
+  auto close_block = [&] {
     if (!block_open || block.transactions.empty()) {
       block_open = false;
       return;
     }
     block.number = result.history.chain.size();
-    if (!result.history.chain.empty())
-      block.parent_hash =
-          result.history.chain.block_hash(block.number - 1);
     result.history.chain.append(std::move(block));
     ++stats.blocks;
     block = eth::Block{};
@@ -174,7 +171,7 @@ ImportResult import_bigquery_traces(std::istream& in) {
     if (!block_open || block_number != source_block) {
       ETHSHARD_CHECK_MSG(!block_open || block_number > source_block,
                          "traces CSV is not sorted by block_number");
-      seal_block();
+      close_block();
       source_block = block_number;
       block.timestamp = ts;
       block_open = true;
@@ -212,7 +209,7 @@ ImportResult import_bigquery_traces(std::istream& in) {
         eth::Call{from, to, kind, parse_value_clamped(row[col.value])});
     ++stats.imported_calls;
   }
-  seal_block();
+  close_block();
 
   // Registry ids must be dense and in id order; is_contract/first_seen
   // are already indexed by id. (A "call" trace's callee is treated as a

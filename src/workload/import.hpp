@@ -5,8 +5,9 @@
 // `bigquery-public-data.crypto_ethereum.traces`, whose CSV export has one
 // row per message call — exactly the edge granularity §II-B needs. This
 // importer converts such an export into a History (dense account ids,
-// call traces grouped into transactions, hash-linked blocks), after which
-// every simulator, bench and CLI command runs on real data unchanged.
+// call traces grouped into transactions, densely numbered blocks), after
+// which every simulator, bench and CLI command runs on real data
+// unchanged.
 //
 // Accepted columns (located by header name, extra columns ignored):
 //   block_number       integer, rows must be grouped by block and

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
 
@@ -25,8 +26,16 @@ char kind_code(eth::CallKind k) {
   return '?';
 }
 
-eth::CallKind kind_from_code(const std::string& s) {
-  ETHSHARD_CHECK_MSG(s.size() == 1, "bad call kind '" << s << "'");
+/// ETHSHARD_CHECK_MSG for trace input: the message names the line.
+#define TRACE_CHECK(expr, line, msg) \
+  ETHSHARD_CHECK_MSG(expr, "trace line " << (line) << ": " << msg)
+
+/// Account ids index GraphBuilder's vertex space, which packs two ids
+/// into one 64-bit edge key, and size TraceSource's per-id tables.
+constexpr std::uint64_t kAccountIdLimit = std::uint64_t{1} << 32;
+
+eth::CallKind kind_from_code(const std::string& s, std::uint64_t line) {
+  TRACE_CHECK(s.size() == 1, line, "bad call kind '" << s << "'");
   switch (s[0]) {
     case 'T':
       return eth::CallKind::kTransfer;
@@ -35,20 +44,28 @@ eth::CallKind kind_from_code(const std::string& s) {
     case 'X':
       return eth::CallKind::kContractCreate;
     default:
-      ETHSHARD_CHECK_MSG(false, "bad call kind '" << s << "'");
+      TRACE_CHECK(false, line, "bad call kind '" << s << "'");
   }
   return eth::CallKind::kTransfer;  // unreachable
 }
 
-std::uint64_t parse_u64(const std::string& s) {
+std::uint64_t parse_u64(const std::string& s, std::uint64_t line) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  ETHSHARD_CHECK_MSG(ec == std::errc{} && ptr == s.data() + s.size(),
-                     "bad integer field '" << s << "'");
+  TRACE_CHECK(ec == std::errc{} && ptr == s.data() + s.size(), line,
+              "bad integer field '" << s << "'");
   return v;
 }
 
+eth::AccountId parse_account(const std::string& s, std::uint64_t line) {
+  const std::uint64_t id = parse_u64(s, line);
+  TRACE_CHECK(id < kAccountIdLimit, line,
+              "account id " << id << " is not below 2^32");
+  return id;
+}
+
 struct Row {
+  std::uint64_t line;  // physical line in the trace file, for errors
   std::uint64_t block;
   util::Timestamp timestamp;
   std::uint64_t tx_index;
@@ -99,7 +116,6 @@ struct TraceSource::Impl {
 
   std::uint64_t blocks_emitted = 0;
   util::Timestamp last_block_ts = 0;
-  eth::Hash256 last_hash{};  // parent link for the next sealed block
   bool done = false;
 
   // Vertex universe, discovered row by row. Kinds are only final at
@@ -126,8 +142,8 @@ struct TraceSource::Impl {
     source_info.name = "trace";
     // Header.
     ETHSHARD_CHECK_MSG(reader.read_row(fields), "empty trace");
-    ETHSHARD_CHECK_MSG(fields.size() == 8 && fields[0] == "block",
-                       "unrecognized trace header");
+    TRACE_CHECK(fields.size() == 8 && fields[0] == "block", reader.line(),
+                "unrecognized trace header");
   }
 
   void note_row(const Row& r) {
@@ -158,16 +174,17 @@ struct TraceSource::Impl {
       return true;
     }
     if (!reader.read_row(fields)) return false;
-    ETHSHARD_CHECK_MSG(fields.size() == 8,
-                       "trace row with " << fields.size() << " fields");
-    r.block = parse_u64(fields[0]);
-    r.timestamp = static_cast<util::Timestamp>(parse_u64(fields[1]));
-    r.tx_index = parse_u64(fields[2]);
-    r.call_index = parse_u64(fields[3]);
-    r.from = parse_u64(fields[4]);
-    r.to = parse_u64(fields[5]);
-    r.kind = kind_from_code(fields[6]);
-    r.value = parse_u64(fields[7]);
+    r.line = reader.line();
+    TRACE_CHECK(fields.size() == 8, r.line,
+                "row with " << fields.size() << " fields, expected 8");
+    r.block = parse_u64(fields[0], r.line);
+    r.timestamp = static_cast<util::Timestamp>(parse_u64(fields[1], r.line));
+    r.tx_index = parse_u64(fields[2], r.line);
+    r.call_index = parse_u64(fields[3], r.line);
+    r.from = parse_account(fields[4], r.line);
+    r.to = parse_account(fields[5], r.line);
+    r.kind = kind_from_code(fields[6], r.line);
+    r.value = parse_u64(fields[7], r.line);
     note_row(r);
     return true;
   }
@@ -190,33 +207,33 @@ struct TraceSource::Impl {
     Row r;
     while (fetch_row(r)) {
       if (!block_open) {
-        ETHSHARD_CHECK_MSG(r.block == blocks_emitted,
-                           "non-consecutive block numbers in trace");
+        TRACE_CHECK(r.block == blocks_emitted, r.line,
+                    "block " << r.block << " where block " << blocks_emitted
+                             << " was expected");
         block.number = r.block;
         block.timestamp = r.timestamp;
-        ETHSHARD_CHECK_MSG(blocks_emitted == 0 ||
-                               block.timestamp >= last_block_ts,
-                           "timestamp regression at block " << r.block);
+        TRACE_CHECK(blocks_emitted == 0 || block.timestamp >= last_block_ts,
+                    r.line, "timestamp regression at block " << r.block);
         block_open = true;
       } else if (r.block != block.number) {
-        ETHSHARD_CHECK_MSG(r.block > block.number,
-                           "trace rows out of block order");
+        TRACE_CHECK(r.block > block.number, r.line,
+                    "rows out of block order");
         pending = r;  // first row of the next block
         have_pending = true;
         break;
       }
-      ETHSHARD_CHECK_MSG(r.timestamp == block.timestamp,
-                         "inconsistent timestamp within block " << r.block);
+      TRACE_CHECK(r.timestamp == block.timestamp, r.line,
+                  "inconsistent timestamp within block " << r.block);
       if (r.tx_index == block.transactions.size()) {
         eth::Transaction tx;
         tx.sender = r.from;
         block.transactions.push_back(std::move(tx));
       }
-      ETHSHARD_CHECK_MSG(r.tx_index + 1 == block.transactions.size(),
-                         "trace rows out of transaction order");
+      TRACE_CHECK(r.tx_index + 1 == block.transactions.size(), r.line,
+                  "rows out of transaction order");
       eth::Transaction& tx = block.transactions.back();
-      ETHSHARD_CHECK_MSG(r.call_index == tx.calls.size(),
-                         "trace rows out of call order");
+      TRACE_CHECK(r.call_index == tx.calls.size(), r.line,
+                  "rows out of call order");
       tx.calls.push_back(eth::Call{r.from, r.to, r.kind, r.value});
     }
 
@@ -224,8 +241,6 @@ struct TraceSource::Impl {
       finalize();
       return false;
     }
-    block.parent_hash = last_hash;
-    last_hash = block.hash();
     last_block_ts = block.timestamp;
     ++blocks_emitted;
     out = std::move(block);
@@ -254,6 +269,8 @@ eth::AccountRegistry TraceSource::take_directory() {
 }
 
 History read_trace(std::istream& in) {
+  ETHSHARD_OBS_TIMER("ingest/read_trace_ms");
+  ETHSHARD_OBS_SPAN("ingest/read_trace");
   TraceSource source(in);
   History history;
   eth::Block block;

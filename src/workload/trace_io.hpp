@@ -32,7 +32,9 @@ void write_trace(std::ostream& out, const History& history);
 /// registry is accumulated row-by-row (any C/X target is a contract,
 /// first_seen at first appearance) and becomes available through
 /// directory() once next() has returned false. Throws
-/// util::CheckFailure on malformed input, at the pull that hits it.
+/// util::CheckFailure on malformed input, at the pull that hits it, with
+/// the offending line's number in the message; account ids must be
+/// below 2^32 and are checked before any per-id table grows.
 class TraceSource final : public BlockSource {
  public:
   /// Borrowed stream; must outlive the source.
@@ -74,8 +76,8 @@ class TraceSourceFactory final : public BlockSourceFactory {
 };
 
 /// Parses a trace written by write_trace (or hand-assembled in the same
-/// format). Reconstructs blocks (hash-linked), transactions and the
-/// account registry. Throws util::CheckFailure on malformed input.
+/// format). Reconstructs blocks, transactions and the account registry.
+/// Throws util::CheckFailure on malformed input.
 History read_trace(std::istream& in);
 
 /// File-path conveniences; throw util::CheckFailure when the file cannot

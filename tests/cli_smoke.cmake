@@ -1,6 +1,9 @@
 # End-to-end smoke test of the ethshard CLI, run by ctest:
 #   generate -> stats -> simulate (+ csv) -> partition -> dot -> import.
-# Usage: cmake -DCLI=<path-to-ethshard> -DWORKDIR=<scratch> -P cli_smoke.cmake
+# Usage: cmake -DCLI=<path-to-ethshard> -DWORKDIR=<scratch> [-DOBS=ON|OFF]
+#        -P cli_smoke.cmake
+# OBS says whether the observability layer is compiled in (default ON);
+# with it off, --metrics-out writes no timers and their check is skipped.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "cli_smoke.cmake needs -DCLI=... and -DWORKDIR=...")
@@ -26,13 +29,53 @@ function(run_cli expect_substring)
   endif()
 endfunction()
 
+if(NOT DEFINED OBS)
+  set(OBS ON)
+endif()
+
+# Fails unless the file at `path` has SHA-256 `want`. The pinned digests
+# below are the ingest path's byte contract: the generator's trace and the
+# window metrics replayed from it. A change that alters either (the RNG
+# draw order, trace formatting, replay accounting) must update the pin on
+# purpose and say why.
+function(expect_sha256 path want)
+  file(SHA256 "${path}" got)
+  if(NOT got STREQUAL want)
+    message(FATAL_ERROR "${path}: sha256 ${got}, pinned ${want}")
+  endif()
+endfunction()
+
+# Fails unless the metrics CSV at `path` lists every timer in ARGN.
+function(expect_timers path)
+  if(NOT OBS)
+    return()
+  endif()
+  file(READ "${path}" text)
+  foreach(name IN LISTS ARGN)
+    if(NOT text MATCHES "(^|\n)timer,${name},")
+      message(FATAL_ERROR "--metrics-out ${path} lists no timer ${name}")
+    endif()
+  endforeach()
+endfunction()
+
 run_cli("wrote" generate --scale 0.0003 --seed 5 --out ${TRACE})
+expect_sha256(${TRACE}
+  68b565bd10d2d8aaa7dec2b0d6ad59edc11ad577556e1b684e85cfb24fce8461)
 run_cli("transactions" stats --trace ${TRACE})
 set(TELEMETRY "${WORKDIR}/windows.jsonl")
 set(METRICS_CSV "${WORKDIR}/metrics.csv")
 run_cli("moves" simulate --trace ${TRACE} --method Hashing --shards 2
         --csv ${WINDOWS} --telemetry-out ${TELEMETRY}
         --metrics-out ${METRICS_CSV})
+expect_sha256(${WINDOWS}
+  b67f19c510023158c2f15811544d3c021661c7e05d8cec093d80254546bb02e6)
+expect_timers(${METRICS_CSV} ingest/read_trace_ms sim/run_ms)
+
+# The in-process generator is timed as its own ingest layer.
+set(GEN_METRICS_CSV "${WORKDIR}/gen_metrics.csv")
+run_cli("moves" simulate --scale 0.0003 --seed 5 --method Hashing --shards 2
+        --metrics-out ${GEN_METRICS_CSV})
+expect_timers(${GEN_METRICS_CSV} ingest/generate_ms sim/run_ms)
 
 # Streaming telemetry: one JSONL record per window, schema v1.
 if(NOT EXISTS ${TELEMETRY})

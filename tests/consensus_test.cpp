@@ -463,7 +463,6 @@ TEST(Pow, SealedChainEndToEnd) {
   for (int i = 1; i <= 2; ++i) {
     Block b = child_of(chain.last(), 1000 + 100 * i,
                        static_cast<std::uint64_t>(i));
-    b.parent_hash = chain.block_hash(static_cast<std::uint64_t>(i - 1));
     const auto seal = mine(b, kBits);
     ASSERT_TRUE(seal);
     seals.push_back(*seal);

@@ -351,8 +351,6 @@ Chain make_chain(int blocks, int txs_per_block = 1) {
     Block b;
     b.number = static_cast<std::uint64_t>(i);
     b.timestamp = 1000 * (i + 1);
-    if (i > 0)
-      b.parent_hash = chain.block_hash(static_cast<std::uint64_t>(i - 1));
     for (int t = 0; t < txs_per_block; ++t)
       b.transactions.push_back(simple_transfer(
           static_cast<AccountId>(i), static_cast<AccountId>(i + 1)));
@@ -379,16 +377,6 @@ TEST(Chain, RejectsNonConsecutiveNumber) {
   Chain chain = make_chain(2);
   Block b;
   b.number = 5;
-  b.parent_hash = chain.block_hash(1);
-  b.timestamp = 99999;
-  EXPECT_THROW(chain.append(std::move(b)), util::CheckFailure);
-}
-
-TEST(Chain, RejectsBadParentHash) {
-  Chain chain = make_chain(2);
-  Block b;
-  b.number = 2;
-  b.parent_hash = Hash256{};  // wrong
   b.timestamp = 99999;
   EXPECT_THROW(chain.append(std::move(b)), util::CheckFailure);
 }
@@ -397,15 +385,8 @@ TEST(Chain, RejectsTimestampRegression) {
   Chain chain = make_chain(2);
   Block b;
   b.number = 2;
-  b.parent_hash = chain.block_hash(1);
   b.timestamp = 1;  // before block 1
   EXPECT_THROW(chain.append(std::move(b)), util::CheckFailure);
-}
-
-TEST(Chain, BlockHashCacheMatchesRecomputation) {
-  const Chain chain = make_chain(4);
-  for (std::uint64_t i = 0; i < chain.size(); ++i)
-    EXPECT_EQ(chain.block_hash(i), chain.block(i).hash());
 }
 
 TEST(Chain, FirstBlockAtOrAfter) {

@@ -256,7 +256,6 @@ TEST(StateDb, BlocksMustApplyInOrder) {
   Block b1;
   b1.number = 1;
   b1.timestamp = 2;
-  b1.parent_hash = chain.block_hash(0);
   chain.append(std::move(b1));
 
   db.apply(chain.block(1 - 1));

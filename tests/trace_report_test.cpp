@@ -118,9 +118,11 @@ TEST(TraceReport, SerializedTraceScoresLowAndRecommendsSerial) {
   EXPECT_EQ(r.recommendation, "serial");
 
   // Stall spans do not count toward lane busy time.
-  for (const obs::LaneStat& lane : r.lanes)
-    if (lane.name == "Stage B (apply+flush)")
+  for (const obs::LaneStat& lane : r.lanes) {
+    if (lane.name == "Stage B (apply+flush)") {
       EXPECT_NEAR(lane.busy_ms, 18.0, 1e-6);
+    }
+  }
 }
 
 TEST(TraceReport, ReportJsonCarriesSchemaAndVerdictFields) {

@@ -345,6 +345,50 @@ TEST(Csv, ToleratesCrlf) {
   EXPECT_EQ(fields[1], "b");
 }
 
+// read_row overwrites the caller's vector in place: a shorter row shrinks
+// it, and no bytes of an earlier, longer field survive into a later one.
+TEST(Csv, ReaderReusedRowShrinks) {
+  std::istringstream in("a,b,c,d\nx,y\n");
+  CsvReader r(in);
+  std::vector<std::string> fields;
+  ASSERT_TRUE(r.read_row(fields));
+  ASSERT_EQ(fields.size(), 4u);
+  ASSERT_TRUE(r.read_row(fields));
+  EXPECT_EQ(fields, (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(Csv, ReaderReusedFieldsKeepNoStaleBytes) {
+  std::istringstream in(
+      "a_long_unquoted_field,another_long_unquoted_field,third\n"
+      "\"say \"\"hi\"\"\",\"\",\"x,y\"\n");
+  CsvReader r(in);
+  std::vector<std::string> fields;
+  ASSERT_TRUE(r.read_row(fields));
+  ASSERT_TRUE(r.read_row(fields));
+  EXPECT_EQ(fields, (std::vector<std::string>{"say \"hi\"", "", "x,y"}));
+}
+
+TEST(Csv, ReaderCountsPhysicalLines) {
+  std::istringstream in("h1,h2\r\n\r\n\na,b\r\nc,\"d,e\"\r\nlast,row");
+  CsvReader r(in);
+  std::vector<std::string> fields;
+  EXPECT_EQ(r.line(), 0u);
+  ASSERT_TRUE(r.read_row(fields));
+  EXPECT_EQ(fields, (std::vector<std::string>{"h1", "h2"}));
+  EXPECT_EQ(r.line(), 1u);
+  ASSERT_TRUE(r.read_row(fields));  // lines 2 and 3 are blank
+  EXPECT_EQ(fields, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(r.line(), 4u);
+  ASSERT_TRUE(r.read_row(fields));
+  EXPECT_EQ(fields, (std::vector<std::string>{"c", "d,e"}));
+  EXPECT_EQ(r.line(), 5u);
+  ASSERT_TRUE(r.read_row(fields));  // no trailing newline
+  EXPECT_EQ(fields, (std::vector<std::string>{"last", "row"}));
+  EXPECT_EQ(r.line(), 6u);
+  EXPECT_FALSE(r.read_row(fields));
+  EXPECT_EQ(r.line(), 6u);
+}
+
 // ------------------------------------------------------------------ args
 
 ArgParser make_args(std::initializer_list<const char*> argv) {

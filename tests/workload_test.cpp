@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "eth/gas.hpp"
+#include "eth/keccak.hpp"
 #include "util/check.hpp"
 #include "workload/generator.hpp"
 #include "workload/growth_model.hpp"
@@ -314,6 +315,17 @@ TEST_F(GeneratedHistoryTest, ExchangesAreHubs) {
             3.0 * contract_total / static_cast<double>(contract_count));
 }
 
+/// Keccak digest over the content of every block of `chain` (number,
+/// timestamp and every transaction field, through Block::hash).
+eth::Hash256 chain_digest(const eth::Chain& chain) {
+  eth::Keccak256 h;
+  for (const eth::Block& b : chain.blocks()) {
+    const eth::Hash256 bh = b.hash();
+    h.update(bh.data(), bh.size());
+  }
+  return h.finalize();
+}
+
 TEST(Generator, DeterministicForSeed) {
   const History a =
       EthereumHistoryGenerator(small_config(0.0005, 11)).generate();
@@ -321,8 +333,7 @@ TEST(Generator, DeterministicForSeed) {
       EthereumHistoryGenerator(small_config(0.0005, 11)).generate();
   ASSERT_EQ(a.chain.size(), b.chain.size());
   ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  for (std::uint64_t i = 0; i < a.chain.size(); ++i)
-    ASSERT_EQ(a.chain.block_hash(i), b.chain.block_hash(i));
+  EXPECT_EQ(chain_digest(a.chain), chain_digest(b.chain));
 }
 
 TEST(Generator, SeedsDiverge) {
@@ -330,8 +341,7 @@ TEST(Generator, SeedsDiverge) {
       EthereumHistoryGenerator(small_config(0.0005, 1)).generate();
   const History b =
       EthereumHistoryGenerator(small_config(0.0005, 2)).generate();
-  EXPECT_NE(a.chain.block_hash(a.chain.size() - 1),
-            b.chain.block_hash(b.chain.size() - 1));
+  EXPECT_NE(chain_digest(a.chain), chain_digest(b.chain));
 }
 
 TEST(Generator, ScaleScalesVolume) {
@@ -421,6 +431,18 @@ TEST(TraceIo, RoundTripPreservesStructure) {
   }
 }
 
+TEST(TraceIo, RoundTripIsByteIdentical) {
+  const History original =
+      EthereumHistoryGenerator(small_config(0.0005, 23)).generate();
+  std::ostringstream first;
+  write_trace(first, original);
+  std::istringstream in(first.str());
+  const History restored = read_trace(in);
+  std::ostringstream second;
+  write_trace(second, restored);
+  EXPECT_EQ(first.str(), second.str());
+}
+
 TEST(TraceIo, RoundTripPreservesAccountKinds) {
   const History original =
       EthereumHistoryGenerator(small_config(0.0005, 29)).generate();
@@ -478,6 +500,60 @@ TEST(TraceIo, RejectsBadKind) {
       "0,1000,0,0,0,1,Z,5\n";
   std::istringstream in(csv);
   EXPECT_THROW(read_trace(in), util::CheckFailure);
+}
+
+/// Expects read_trace(csv) to fail with a message containing `want`.
+void expect_trace_error(const std::string& csv, const std::string& want) {
+  std::istringstream in(csv);
+  try {
+    read_trace(in);
+    ADD_FAILURE() << "expected a CheckFailure containing '" << want << "'";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceIo, ErrorsNameTheLine) {
+  const std::string header =
+      "block,timestamp,tx_index,call_index,from,to,kind,value\n";
+  // Blank lines count: the bad row is the fourth physical line.
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n\n0,1000,1,0,2,x,T,5\n",
+                     "trace line 4: bad integer field 'x'");
+  expect_trace_error(header + "0,1000,0,0,0,1,Z,5\n",
+                     "trace line 2: bad call kind 'Z'");
+  expect_trace_error(header + "0,1000,0,0,0,1,T\n",
+                     "trace line 2: row with 7 fields");
+  // Block-order errors are found on the lookahead row that opens the
+  // next block; they still name that row's line.
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n"
+                              "1,2000,0,0,1,2,T,5\n"
+                              "0,3000,0,0,2,3,T,5\n",
+                     "trace line 4: rows out of block order");
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n"
+                              "2,2000,0,0,1,2,T,5\n",
+                     "trace line 3: block 2 where block 1 was expected");
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n"
+                              "1,900,0,0,1,2,T,5\n",
+                     "trace line 3: timestamp regression at block 1");
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n"
+                              "0,1000,0,2,1,2,T,5\n",
+                     "trace line 3: rows out of call order");
+  expect_trace_error("foo,bar\n", "trace line 1: unrecognized trace header");
+}
+
+// Account ids index GraphBuilder's 32-bit vertex space and size the
+// reader's per-id tables; a wider id must fail by name before any of
+// those tables grows (at 5e9 they would need ~40 GB).
+TEST(TraceIo, RejectsAccountIdsFromTwoToThe32) {
+  const std::string header =
+      "block,timestamp,tx_index,call_index,from,to,kind,value\n";
+  expect_trace_error(header + "0,1000,0,0,0,1,T,5\n"
+                              "0,1000,1,0,1,5000000000,T,5\n"
+                              "1,2000,0,0,1,2,T,5\n",
+                     "trace line 3: account id 5000000000 is not below 2^32");
+  expect_trace_error(header + "0,1000,0,0,4294967296,1,T,5\n",
+                     "trace line 2: account id 4294967296 is not below 2^32");
 }
 
 // --------------------------------------------------------------- analysis
