@@ -43,35 +43,26 @@ inline workload::History make_history(double scale, std::uint64_t seed) {
   return workload::EthereumHistoryGenerator(cfg).generate();
 }
 
-/// `replay_threads` follows SimulatorConfig::replay_threads: 0 = auto
-/// (pipelined when the hardware allows), 1 = serial per-call replay.
 inline core::SimulationResult simulate(const workload::History& history,
                                        core::Method method,
                                        std::uint32_t k,
-                                       std::uint64_t seed = 7,
-                                       std::size_t replay_threads = 0) {
+                                       std::uint64_t seed = 7) {
   const auto strategy = core::make_strategy(method, seed);
   core::SimulatorConfig cfg;
   cfg.k = k;
-  cfg.replay_threads = replay_threads;
   core::ShardingSimulator sim(history, *strategy, cfg);
   return sim.run();
 }
 
-/// Spec-string variant (see core/strategy_registry.hpp for the grammar;
-/// a "replay_threads=" spec key configures the replay pipeline).
+/// Spec-string variant (see core/strategy_registry.hpp for the grammar).
 inline core::SimulationResult simulate(const workload::History& history,
                                        const std::string& spec,
                                        std::uint32_t k,
                                        std::uint64_t seed = 7) {
-  core::StrategyBuild build =
-      core::StrategyRegistry::global().make_build(spec, seed);
+  const auto strategy = core::StrategyRegistry::global().make(spec, seed);
   core::SimulatorConfig cfg;
   cfg.k = k;
-  cfg.replay_threads = build.replay_threads;
-  cfg.queue_capacity = build.queue_capacity;
-  cfg.aggregation_shards = build.aggregation_shards;
-  core::ShardingSimulator sim(history, *build.strategy, cfg);
+  core::ShardingSimulator sim(history, *strategy, cfg);
   return sim.run();
 }
 

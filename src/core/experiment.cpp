@@ -35,11 +35,6 @@ std::vector<std::string> ExperimentConfig::validate() const {
         "partitioner_threads = " + std::to_string(partitioner_threads) +
         " is not plausible — use 0 to auto-fit the remaining hardware "
         "budget or 1 for a serial partitioner");
-  if (replay_threads > 1024)
-    problems.push_back(
-        "replay_threads = " + std::to_string(replay_threads) +
-        " is not plausible — use 0 for hardware concurrency or 1 for "
-        "serial replay");
   // Explicitly requesting more total threads than the machine has is a
   // contradiction, not a tuning choice: one of the two knobs must give.
   if (threads != 0 && threads <= 1024 && partitioner_threads > 1 &&
@@ -90,10 +85,6 @@ std::vector<ExperimentRun> run_experiment(
                cells.size());
   const std::size_t cell_partitioner_threads =
       util::cap_nested_threads(config.partitioner_threads, workers);
-  // Same budget rule for the replay pipeline's aggregator thread; capped
-  // to 1, a cell falls back to bit-identical serial replay.
-  const std::size_t cell_replay_threads =
-      util::cap_nested_threads(config.replay_threads, workers);
 
   auto runs = util::parallel_map(
       cells,
@@ -116,7 +107,6 @@ std::vector<ExperimentRun> run_experiment(
           SimulatorConfig sim_cfg;
           sim_cfg.k = cell.k;
           sim_cfg.load_model = config.load_model;
-          sim_cfg.replay_threads = cell_replay_threads;
           const std::unique_ptr<workload::BlockSource> source =
               sources.open();
           ShardingSimulator sim(*source, *strategy, sim_cfg);
@@ -151,7 +141,7 @@ std::vector<ExperimentRun> run_experiment(
       config.threads);
 
   if (obs::enabled()) {
-    const double grid_wall_ms =
+    [[maybe_unused]] const double grid_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - grid_start)
             .count();
@@ -162,8 +152,6 @@ std::vector<ExperimentRun> run_experiment(
                        static_cast<double>(workers));
     ETHSHARD_OBS_GAUGE("experiment/partitioner_threads",
                        static_cast<double>(cell_partitioner_threads));
-    ETHSHARD_OBS_GAUGE("experiment/replay_threads",
-                       static_cast<double>(cell_replay_threads));
     ETHSHARD_OBS_GAUGE("experiment/grid_wall_ms", grid_wall_ms);
     ETHSHARD_OBS_GAUGE(
         "experiment/thread_utilization",

@@ -29,11 +29,6 @@ struct ExperimentConfig {
   /// never exceeds util::default_thread_count(); because mt-MLKP is
   /// thread-count invariant, the cap changes speed, never results.
   std::size_t partitioner_threads = 1;
-  /// SimulatorConfig::replay_threads *per grid cell* (0 = auto, 1 =
-  /// serial replay, >= 2 = pipelined). Capped against the grid workers
-  /// the same way as partitioner_threads; batched replay is bit-identical
-  /// to serial, so the cap changes speed, never results.
-  std::size_t replay_threads = 0;
 
   /// Human-readable configuration problems, empty when the config is
   /// runnable. run_experiment calls this up front so a bad grid fails

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
-#include <thread>
 #include <utility>
 
-#include "core/window_aggregator.hpp"
 #include "eth/gas.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/mem.hpp"
-#include "util/parallel.hpp"
-#include "util/pipeline.hpp"
-#include "workload/windows.hpp"
 
 namespace ethshard::core {
 
@@ -304,7 +298,7 @@ void ShardingSimulator::verify_incremental_state() {
 
 void ShardingSimulator::flush_window(util::Timestamp window_end) {
   ETHSHARD_OBS_TIMER("sim/flush_window_ms");
-  ETHSHARD_OBS_SPAN("pipeline/flush");
+  ETHSHARD_OBS_SPAN("sim/flush_window");
   // The window's wall span is measured *before* any repartition runs
   // (and window_wall_start_ is re-armed after it returns), so a
   // repartition's cost shows up only in partitioner_ms — not smeared
@@ -457,369 +451,6 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
   return true;
 }
 
-void ShardingSimulator::advance_windows() {
-  while (now_ >= window_start_ + cfg_.metric_window) {
-    // Long traffic gaps: once the accumulating window is empty, every
-    // pending window up to the current block is empty too. Skip them
-    // wholesale as far as the strategy's no_repartition_before bound
-    // allows — they would produce no sample and a guaranteed-false
-    // should_repartition, so the result is identical.
-    if (cfg_.fast_forward_gaps && cfg_.skip_empty_windows &&
-        cfg_.telemetry == nullptr && cfg_.consumer == nullptr &&
-        window_metrics_.empty()) {
-      const util::Timestamp width = cfg_.metric_window;
-      const auto pending =
-          static_cast<std::uint64_t>((now_ - window_start_) / width);
-      const util::Timestamp consult_at =
-          strategy_.no_repartition_before(last_repartition_);
-      std::uint64_t skip = 0;
-      if (consult_at > window_start_ + width) {
-        // Window i ends at window_start_ + i*width; skippable while
-        // that end stays strictly before consult_at.
-        const auto limit = static_cast<std::uint64_t>(
-            (consult_at - window_start_ - 1) / width);
-        skip = std::min(pending, limit);
-      }
-      if (skip > 0) {
-        window_start_ += static_cast<util::Timestamp>(skip) * width;
-        result_.gap_windows_skipped += skip;
-        ETHSHARD_OBS_COUNT("sim/gap_windows_skipped", skip);
-        continue;
-      }
-    }
-    flush_window(window_start_ + cfg_.metric_window);
-  }
-}
-
-void ShardingSimulator::begin_step(util::Timestamp ts) {
-  now_ = ts;
-  if (!started_) {
-    started_ = true;
-    window_start_ = ts;
-    last_repartition_ = ts;
-    window_wall_start_ = std::chrono::steady_clock::now();
-  }
-  advance_windows();
-}
-
-void ShardingSimulator::run_serial() {
-  // next_ref() is zero-copy for a MaterializedSource (it hands out the
-  // chain's own storage), so the History adapter replays exactly as the
-  // old by-reference loop did; streaming sources buffer one block.
-  while (const eth::Block* block = source_->next_ref()) {
-    begin_step(block->timestamp);
-    for (const eth::Transaction& tx : block->transactions)
-      process_transaction(tx);
-  }
-}
-
-void ShardingSimulator::apply_window_table(const WindowTable& table) {
-  ETHSHARD_OBS_TIMER("sim/window_apply_ms");
-  ETHSHARD_OBS_SPAN("pipeline/apply");
-  // The producer measured its own wall time but must not touch obs (its
-  // thread-local registry may be the wrong one in experiment grids), so
-  // the table's cost is recorded here.
-  ETHSHARD_OBS_RECORD_MS("sim/window_aggregate_ms", table.aggregate_ms);
-
-  // Stage B.1 — placement replay, exactly the serial loop: transactions
-  // that introduce new vertices run in trace order with now_ at their
-  // block timestamp; within one, earlier placements are visible to later
-  // ones, and the partition state decides anew which vertices are
-  // unplaced and what their peers' shards are.
-  for (const PlacementRecord& rec : table.placements) {
-    now_ = rec.ts;
-    const std::span<const graph::Vertex> involved{
-        table.placement_vertices.data() + rec.begin,
-        static_cast<std::size_t>(rec.end - rec.begin)};
-    for (graph::Vertex v : involved) {
-      ensure_vertex(v);
-      if (part_.shard_of(v) != partition::kUnassigned) continue;
-      peers_scratch_.clear();
-      for (graph::Vertex u : involved) {
-        if (u == v) continue;
-        if (u < part_.size() &&
-            part_.shard_of(u) != partition::kUnassigned)
-          peers_scratch_.push_back(part_.shard_of(u));
-      }
-      place_vertex(v, peers_scratch_);
-    }
-  }
-  now_ = table.last_block_ts;
-
-  // Stage B.2 — one vectorized accounting pass. Every vertex the table
-  // mentions was placed above (its first-ever transaction is a placement
-  // record at or before this window), and no shard changes until the
-  // flush, so counting after all placements reproduces the per-call
-  // sums exactly (integer accumulators, order-independent). The LoadModel
-  // dispatch is hoisted to a column pick: the loop touches the table's
-  // vertex column plus exactly one weight column, branch-free.
-  const std::vector<graph::Weight>& loads = cfg_.load_model == LoadModel::kGas
-                                                ? table.load_gas
-                                                : table.load_calls;
-  const std::size_t load_count = table.load_vertices.size();
-  for (std::size_t i = 0; i < load_count; ++i) {
-    const graph::Vertex v = table.load_vertices[i];
-    const graph::Weight load = loads[i];
-    const partition::ShardId s = part_.shard_of(v);
-    window_metrics_.record_activity(s, load);
-    activity_[v] += load;
-    shard_loads_[s] += load;
-    window_.add_vertex_weight(v, load);
-  }
-
-  if (table.self_calls > 0)
-    window_metrics_.record_self_interaction(table.self_calls);
-  std::uint64_t pair_calls = 0;
-  std::uint64_t cross_calls = 0;
-  for (const graph::PairDelta& pd : table.pairs) {
-    if (pd.u == pd.v) continue;
-    const graph::Weight count = pd.fwd + pd.rev;
-    const partition::ShardId su = part_.shard_of(pd.u);
-    const partition::ShardId sv = part_.shard_of(pd.v);
-    window_metrics_.record_interaction(su, sv, count);
-    pair_calls += count;
-    if (su != sv) cross_calls += count;
-  }
-  executed_total_ += table.total_calls;
-  executed_pair_ += pair_calls;
-  executed_cross_ += cross_calls;
-
-  // Bulk graph apply: one hash probe per distinct pair, with the static
-  // cut attributed per new undirected edge against the (fixed) endpoint
-  // shards — the same classification serial replay made call by call,
-  // batched: the apply collects the new pairs' indices and the cut test
-  // runs over just those in its own loop.
-  cumulative_.apply_pair_deltas(table.pairs, &new_pair_scratch_);
-  distinct_edges_ += new_pair_scratch_.size();
-  for (const std::uint32_t i : new_pair_scratch_) {
-    const graph::PairDelta& pd = table.pairs[i];
-    if (part_.shard_of(pd.u) != part_.shard_of(pd.v)) ++cut_edges_;
-  }
-  window_.apply_pair_deltas(table.pairs);
-}
-
-void ShardingSimulator::run_pipelined(std::size_t replay_threads,
-                                      bool auto_probe) {
-  // One aggregator thread feeds this one over an SPSC queue deep enough
-  // for aggregation to run ahead across cheap windows while a
-  // flush-heavy one stalls the consumer (queue_capacity= right-sizes
-  // it; depth changes speed, never results).
-  const std::size_t capacity =
-      cfg_.queue_capacity != 0 ? cfg_.queue_capacity
-                               : std::max<std::size_t>(replay_threads, 8);
-  util::BoundedQueue<WindowTable> queue(capacity);
-  std::uint64_t windows_pushed = 0;  // producer-written, read after join
-
-  // Auto-fallback handshake: when the probe decides the pipeline cannot
-  // win, the consumer raises `stop_pipeline`, keeps draining (so no
-  // aggregated table is dropped), and the producer exits at the next
-  // window boundary after recording where serial replay must resume.
-  std::atomic<bool> stop_pipeline{false};
-  // Materialized path: first block index Stage A did NOT aggregate.
-  // Plain (non-atomic) because it is written before queue.close() and
-  // read after producer.join().
-  std::size_t resume_block = 0;
-
-  const eth::Chain* chain = source_->materialized_chain();
-  std::span<const eth::Block> block_span;
-  std::vector<workload::WindowSpan> spans;
-  if (chain != nullptr) {
-    const auto& blocks = chain->blocks();
-    block_span = {blocks.data(), blocks.size()};
-    spans = workload::window_spans(block_span, cfg_.metric_window);
-  }
-  // Streaming path: on early stop the binner still holds the partially
-  // binned window; declared out here so the serial resume can finish it
-  // after the join.
-  workload::WindowBinner binner(cfg_.metric_window);
-
-#if ETHSHARD_OBS_ENABLED
-  // Pipeline profiling taps: stall intervals as retroactive spans, queue
-  // occupancy and per-window progress as counter tracks. Everything goes
-  // through the process-global TraceBuffer, which is safe from any
-  // thread — unlike the metric macros, which stay off the producer
-  // thread (its thread-local registry may be the wrong one in experiment
-  // grids; see the note in window_aggregator.cpp). The observer is only
-  // installed when tracing is on, so untraced runs keep the queue's
-  // zero-clock-read path.
-  struct PipelineTap final : util::QueueObserver {
-    void on_push(std::size_t depth, double wait_ms) override {
-      if (wait_ms > 0) {
-        const double end_ms = obs::trace_now_ms();
-        obs::record_span("pipeline/backpressure_stall", end_ms - wait_ms,
-                         end_ms);
-      }
-      obs::record_counter_sample("pipeline/queue_depth",
-                                 static_cast<double>(depth));
-      obs::record_counter_sample("pipeline/windows_aggregated",
-                                 static_cast<double>(++pushed));
-    }
-    void on_pop(std::size_t depth, double wait_ms) override {
-      if (wait_ms > 0) {
-        const double end_ms = obs::trace_now_ms();
-        obs::record_span("pipeline/prefetch_stall", end_ms - wait_ms,
-                         end_ms);
-      }
-      obs::record_counter_sample("pipeline/queue_depth",
-                                 static_cast<double>(depth));
-      obs::record_counter_sample("pipeline/windows_applied",
-                                 static_cast<double>(++popped));
-    }
-    // Each field is touched by exactly one side of the queue.
-    std::uint64_t pushed = 0;
-    std::uint64_t popped = 0;
-  };
-  PipelineTap tap;
-  if (obs::trace_enabled()) {
-    queue.set_observer(&tap);
-    obs::set_current_thread_lane("Stage B (apply+flush)");
-  }
-#endif
-
-  std::thread producer([&] {
-    try {
-#if ETHSHARD_OBS_ENABLED
-      obs::set_current_thread_lane("Stage A (aggregate)");
-#endif
-      const std::size_t agg_shards =
-          cfg_.aggregation_shards != 0
-              ? cfg_.aggregation_shards
-              : std::min<std::size_t>(util::default_thread_count(), 4);
-      WindowAggregator aggregator(agg_shards);
-      if (chain != nullptr) {
-        // Whole chain in memory: the spans were binned up front;
-        // aggregate them in place (no block copies).
-        for (const workload::WindowSpan& span : spans) {
-          if (stop_pipeline.load(std::memory_order_acquire)) {
-            resume_block = span.block_begin;
-            queue.close();
-            return;
-          }
-          WindowTable table;
-          {
-            ETHSHARD_OBS_SPAN("pipeline/aggregate");
-            table = aggregator.aggregate(block_span, span);
-          }
-          ++windows_pushed;
-          if (!queue.push(std::move(table))) return;  // consumer bailed
-        }
-        resume_block = block_span.size();
-      } else {
-        // Streaming: pull blocks one at a time, hold only the window
-        // being binned, aggregate each as it completes. The source is
-        // touched exclusively by this thread (until a fallback joins it).
-        workload::BinnedWindow window;
-        eth::Block block;
-        auto aggregate_traced = [&](const workload::BinnedWindow& w) {
-          ETHSHARD_OBS_SPAN("pipeline/aggregate");
-          return aggregator.aggregate(w);
-        };
-        bool stopped = false;
-        while (true) {
-          if (stop_pipeline.load(std::memory_order_acquire)) {
-            stopped = true;  // partial window stays in the binner
-            break;
-          }
-          if (!source_->next(block)) break;
-          if (binner.push(std::move(block), window)) {
-            ++windows_pushed;
-            if (!queue.push(aggregate_traced(window))) return;
-          }
-        }
-        if (!stopped && binner.finish(window)) {
-          ++windows_pushed;
-          if (!queue.push(aggregate_traced(window))) return;
-        }
-      }
-      queue.close();
-    } catch (...) {
-      queue.fail(std::current_exception());
-    }
-  });
-
-  bool fell_back = false;
-  try {
-    const auto pipeline_start = std::chrono::steady_clock::now();
-    double staged_ms = 0;
-    std::uint64_t probed = 0;
-    bool decided = !auto_probe || cfg_.auto_probe_windows == 0;
-    while (std::optional<WindowTable> table = queue.pop()) {
-      const double apply_cpu0 = decided ? 0 : util::thread_cpu_ms();
-      // The first block of this span is what would have triggered the
-      // pending flushes in serial replay; align now_ before advancing.
-      begin_step(table->first_block_ts);
-      apply_window_table(*table);
-      if (!decided) {
-        // Serial estimate for the windows seen so far: what one thread
-        // would have spent on aggregate + apply + flush back to back —
-        // the same model tools/trace_report scores a finished trace
-        // with, measured live instead. Both terms are CPU time, not
-        // wall time: when producer and consumer share cores (the exact
-        // case the fallback exists for), preemption inflates each
-        // stage's wall clock until the "serial estimate" is as slow as
-        // the struggling pipeline itself and the probe can never fire.
-        // CPU time only counts work actually done, so the estimate
-        // stays honest on any core count.
-        staged_ms += table->aggregate_cpu_ms +
-                     (util::thread_cpu_ms() - apply_cpu0);
-        if (++probed >= cfg_.auto_probe_windows) {
-          decided = true;
-          const double wall_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - pipeline_start)
-                  .count();
-          ETHSHARD_OBS_GAUGE("sim/pipeline_probe_speedup",
-                             wall_ms > 0 ? staged_ms / wall_ms : 0.0);
-          if (staged_ms < cfg_.auto_min_speedup * wall_ms) {
-            // The pipeline is not beating the serial estimate by the
-            // required margin: stop the producer at its next window
-            // boundary and finish the history serially. Tables already
-            // aggregated keep flowing — nothing is dropped or redone.
-            fell_back = true;
-            stop_pipeline.store(true, std::memory_order_release);
-          }
-        }
-      }
-    }
-  } catch (...) {
-    queue.close();
-    producer.join();
-    throw;
-  }
-  producer.join();
-  ETHSHARD_OBS_COUNT("sim/pipeline_windows", windows_pushed);
-  ETHSHARD_OBS_COUNT("sim/pipeline_prefetch_stalls", queue.pop_waits());
-  ETHSHARD_OBS_COUNT("sim/pipeline_backpressure_stalls",
-                     queue.push_waits());
-  if (!fell_back) return;
-
-  // Serial resume after a measured fallback. Everything Stage A
-  // aggregated has been applied above; replay the rest through the
-  // per-call reference path, exactly as if the run had been serial from
-  // the first un-aggregated block onward.
-  ETHSHARD_OBS_COUNT("sim/pipeline_auto_fallbacks", 1);
-  if (chain != nullptr) {
-    for (std::size_t b = resume_block; b < block_span.size(); ++b) {
-      const eth::Block& block = block_span[b];
-      begin_step(block.timestamp);
-      for (const eth::Transaction& tx : block.transactions)
-        process_transaction(tx);
-    }
-  } else {
-    // The producer stopped mid-bin: finish the partial window it left in
-    // the binner, then drain whatever is still in the source.
-    workload::BinnedWindow partial;
-    if (binner.finish(partial)) {
-      for (const eth::Block& block : partial.blocks) {
-        begin_step(block.timestamp);
-        for (const eth::Transaction& tx : block.transactions)
-          process_transaction(tx);
-      }
-    }
-    run_serial();
-  }
-}
-
 SimulationResult ShardingSimulator::run() {
   ETHSHARD_CHECK_MSG(!ran_, "simulator is single-use");
   ran_ = true;
@@ -829,27 +460,59 @@ SimulationResult ShardingSimulator::run() {
   result_.strategy_name = strategy_.name();
   result_.k = cfg_.k;
 
-  // 0 = auto: start pipelined and let the measured probe decide whether
-  // the pipeline stays, falling back to serial mid-run when it cannot
-  // win. The one hardware guess auto does make is the degenerate one:
-  // with fewer than 2 hardware threads the producer and consumer would
-  // only time-slice a single core, so even the probe's few pipelined
-  // windows are pure loss and auto resolves straight to serial.
-  const bool auto_replay = cfg_.replay_threads == 0;
-  const std::size_t auto_hw = cfg_.auto_hw_override != 0
-                                  ? cfg_.auto_hw_override
-                                  : util::default_thread_count();
-  const std::size_t replay_threads =
-      auto_replay ? (auto_hw < 2 ? 1 : std::max<std::size_t>(2, auto_hw))
-                  : cfg_.replay_threads;
-  if (replay_threads >= 2 && strategy_.supports_batched_replay())
-    run_pipelined(replay_threads, auto_replay);
-  else
-    run_serial();
+  // next_ref() is zero-copy for a MaterializedSource (it hands out the
+  // chain's own storage), so the History adapter replays the chain in
+  // place; streaming sources buffer one block.
+  bool started = false;
+  while (const eth::Block* block = source_->next_ref()) {
+    now_ = block->timestamp;
+    // The first block anchors the window clock (a streaming source only
+    // reveals its first timestamp at the first pull).
+    if (!started) {
+      started = true;
+      window_start_ = now_;
+      last_repartition_ = now_;
+      window_wall_start_ = std::chrono::steady_clock::now();
+    }
+    // Flush every window completed before this block.
+    while (now_ >= window_start_ + cfg_.metric_window) {
+      // Long traffic gaps: once the accumulating window is empty, every
+      // pending window up to the current block is empty too. Skip them
+      // wholesale as far as the strategy's no_repartition_before bound
+      // allows — they would produce no sample and a guaranteed-false
+      // should_repartition, so the result is identical.
+      if (cfg_.fast_forward_gaps && cfg_.skip_empty_windows &&
+          cfg_.telemetry == nullptr && cfg_.consumer == nullptr &&
+          window_metrics_.empty()) {
+        const util::Timestamp width = cfg_.metric_window;
+        const auto pending =
+            static_cast<std::uint64_t>((now_ - window_start_) / width);
+        const util::Timestamp consult_at =
+            strategy_.no_repartition_before(last_repartition_);
+        std::uint64_t skip = 0;
+        if (consult_at > window_start_ + width) {
+          // Window i ends at window_start_ + i*width; skippable while
+          // that end stays strictly before consult_at.
+          const auto limit = static_cast<std::uint64_t>(
+              (consult_at - window_start_ - 1) / width);
+          skip = std::min(pending, limit);
+        }
+        if (skip > 0) {
+          window_start_ += static_cast<util::Timestamp>(skip) * width;
+          result_.gap_windows_skipped += skip;
+          ETHSHARD_OBS_COUNT("sim/gap_windows_skipped", skip);
+          continue;
+        }
+      }
+      flush_window(window_start_ + cfg_.metric_window);
+    }
+    for (const eth::Transaction& tx : block->transactions)
+      process_transaction(tx);
+  }
 
   // Empty stream: no window clock ever started, nothing to flush (the
   // result keeps its default-constructed aggregates, as before).
-  if (!started_) return std::move(result_);
+  if (!started) return std::move(result_);
 
   // Final partial window: its reported end is clamped to just past the
   // last block instead of a full metric_window into silence.

@@ -24,8 +24,6 @@
 
 namespace ethshard::core {
 
-struct WindowTable;  // core/window_aggregator.hpp
-
 /// What one unit of shard load means (§IV lists computation, storage and
 /// bandwidth as the resources a sharding scheme must balance).
 enum class LoadModel {
@@ -54,8 +52,8 @@ struct SimulatorConfig {
   TelemetrySink* telemetry = nullptr;
   /// Optional in-process consumer of the same per-window records the
   /// sink serializes (invariant evaluation, live dashboards). Called on
-  /// the flush thread, after the sink's write when both are set. Not
-  /// owned; must outlive the simulator.
+  /// the thread running run(), after the sink's write when both are set.
+  /// Not owned; must outlive the simulator.
   TelemetryConsumer* consumer = nullptr;
   /// Skip long runs of empty windows in one step instead of flushing them
   /// one at a time, when the strategy declares (no_repartition_before)
@@ -68,46 +66,6 @@ struct SimulatorConfig {
   /// (and, at repartitions, rebuild the cumulative snapshot and compare
   /// with the cache). Aborts on divergence. O(E) per window — for tests.
   bool verify_incremental = false;
-  /// Replay pipelining (the two-stage batched window replay; DESIGN.md
-  /// §6d). 0 = auto: on hosts with >= 2 hardware threads, start
-  /// pipelined and run a short measured probe (see auto_probe_windows),
-  /// falling back to serial mid-run when the pipeline cannot beat the
-  /// serial estimate; on single-core hosts, resolve straight to serial
-  /// — so auto is never slower than serial beyond the probe itself. 1 = serial per-call replay,
-  /// >= 2 = pipelined unconditionally: one background worker aggregates
-  /// window W+1 while the simulator applies and flushes window W. There
-  /// is always exactly one aggregator thread. The result is bit-identical
-  /// across every value for strategies declaring
-  /// supports_batched_replay(); all others silently use the serial path.
-  std::size_t replay_threads = 0;
-  /// Capacity of the SPSC window-table queue between the stages (spec
-  /// key queue_capacity=). 0 derives max(replay_threads, 8) — deep
-  /// enough that aggregation keeps running ahead across cheap windows
-  /// while a flush-heavy one stalls the consumer. Affects speed only.
-  std::size_t queue_capacity = 0;
-  /// Stage A sub-ranges per window (spec key agg_shards=): each window's
-  /// block span splits into this many contiguous sub-ranges aggregated
-  /// in parallel and merged deterministically. 0 = auto (hardware thread
-  /// count, capped at 4), 1 = unsharded. The WindowTable — and therefore
-  /// the simulation result — is bit-identical for every value.
-  std::size_t aggregation_shards = 0;
-  /// replay_threads == 0 only: number of pipelined windows the measured
-  /// probe covers before deciding pipelined-vs-serial. 0 disables the
-  /// probe (auto then always stays pipelined).
-  std::size_t auto_probe_windows = 24;
-  /// replay_threads == 0 only: minimum (serial estimate) / (pipelined
-  /// wall) ratio the probe must measure for the pipeline to keep
-  /// running — the same serial_estimate = aggregate + apply + flush
-  /// model and 1.05 threshold obs::analyze_pipeline_trace uses for its
-  /// recommendation.
-  double auto_min_speedup = 1.05;
-  /// replay_threads == 0 only: hardware thread count auto assumes when
-  /// deciding whether pipelining can win at all (0 = detect). On a host
-  /// with fewer than 2 hardware threads auto resolves straight to serial
-  /// — producer and consumer would only time-slice one core, so even the
-  /// probe's ~24 pipelined windows are pure loss. Tests set this to >= 2
-  /// to exercise the probe path on single-core runners.
-  std::size_t auto_hw_override = 0;
 };
 
 /// One metric sample (a data point in Fig. 3).
@@ -203,30 +161,6 @@ class ShardingSimulator {
   class Env;
   class Sink;
 
-  /// Serial per-call replay: the reference semantics (and the
-  /// replay_threads = 1 / unsupported-strategy fallback).
-  void run_serial();
-  /// Two-stage pipelined replay: a producer thread aggregates windows
-  /// (core::WindowAggregator) into a bounded queue; this thread replays
-  /// placements and bulk-applies each table. Bit-identical to run_serial
-  /// for strategies that declare supports_batched_replay(). With
-  /// `auto_probe` (replay_threads == 0), the consumer measures the first
-  /// auto_probe_windows tables and, when the pipeline cannot beat the
-  /// serial estimate, stops the producer at a window boundary, drains
-  /// the queue, and finishes the history through the serial path.
-  void run_pipelined(std::size_t replay_threads, bool auto_probe);
-  /// Lazy window-clock start + per-block window advance: the first
-  /// block/table anchors window_start_ (a streaming source only reveals
-  /// its first timestamp at the first pull); afterwards flushes every
-  /// window completed before now_.
-  void begin_step(util::Timestamp ts);
-  /// Flushes every window completed before now_ (including the gap
-  /// fast-forward) — the shared per-block / per-table advance loop.
-  void advance_windows();
-  /// Stage B: trace-order placement replay + one vectorized accounting
-  /// pass over a window table (exact because no vertex changes shard
-  /// between its placement and the window flush).
-  void apply_window_table(const WindowTable& table);
   void process_transaction(const eth::Transaction& tx);
   void apply_migration(graph::Vertex v, partition::ShardId s);
   void ensure_vertex(graph::Vertex v);
@@ -302,23 +236,16 @@ class ShardingSimulator {
 
   // Per-transaction involved-account dedup: epoch-stamped membership
   // check (O(1) per endpoint) replacing the old std::find scan, which
-  // was quadratic in a transaction's distinct participants. Shared by
-  // process_transaction and the pipelined placement replay.
+  // was quadratic in a transaction's distinct participants.
   std::vector<graph::Vertex> involved_scratch_;
   std::vector<std::uint64_t> involved_stamp_;
   std::uint64_t involved_epoch_ = 0;
   std::vector<partition::ShardId> peers_scratch_;
-  // Indices of a window table's new undirected pairs, collected by the
-  // bulk apply so the cut classification runs as its own tight loop
-  // (reused every window).
-  std::vector<std::uint32_t> new_pair_scratch_;
 
   metrics::WindowAccumulator window_metrics_;
   util::Timestamp now_ = 0;
   util::Timestamp window_start_ = 0;
   util::Timestamp last_repartition_ = 0;
-  /// Whether the first block has anchored the window clock yet.
-  bool started_ = false;
   /// Wall-clock start of the current window's replay (telemetry).
   std::chrono::steady_clock::time_point window_wall_start_{};
 

@@ -36,7 +36,6 @@ class HashStrategy final : public ShardingStrategy {
   util::Timestamp no_repartition_before(util::Timestamp) const override {
     return kNeverOnEmpty;
   }
-  bool supports_batched_replay() const override { return true; }
   partition::Partition compute_partition(const SimulatorEnv& env) override;
 
  private:
@@ -63,7 +62,6 @@ class KlStrategy final : public ShardingStrategy {
       util::Timestamp last_repartition) const override {
     return last_repartition + period_;
   }
-  bool supports_batched_replay() const override { return true; }
   partition::Partition compute_partition(const SimulatorEnv& env) override;
 
  private:
@@ -93,7 +91,6 @@ class FullGraphMlkpStrategy final : public ShardingStrategy {
       util::Timestamp last_repartition) const override {
     return last_repartition + period_;
   }
-  bool supports_batched_replay() const override { return true; }
   partition::Partition compute_partition(const SimulatorEnv& env) override;
 
   const partition::MlkpConfig& mlkp_config() const { return mlkp_; }
@@ -124,7 +121,6 @@ class WindowMlkpStrategy final : public ShardingStrategy {
       util::Timestamp last_repartition) const override {
     return last_repartition + period_;
   }
-  bool supports_batched_replay() const override { return true; }
   partition::Partition compute_partition(const SimulatorEnv& env) override;
 
   const partition::MlkpConfig& mlkp_config() const { return mlkp_; }
@@ -185,7 +181,6 @@ class ThresholdMlkpStrategy final : public ShardingStrategy {
     // at 0 an empty window feeds the EWMA and must be consulted.
     return thresholds_.min_interactions > 0 ? kNeverOnEmpty : kAlwaysConsult;
   }
-  bool supports_batched_replay() const override { return true; }
   partition::Partition compute_partition(const SimulatorEnv& env) override;
 
   const Thresholds& thresholds() const { return thresholds_; }
@@ -228,10 +223,6 @@ class DsmStrategy final : public ShardingStrategy {
   partition::Partition compute_partition(const SimulatorEnv& env) override {
     return env.current_partition();
   }
-  /// Migrates online through on_transaction, which batched replay never
-  /// invokes — DSM must stay on the serial path (inherited default, made
-  /// explicit here because it is load-bearing).
-  bool supports_batched_replay() const override { return false; }
   void on_transaction(std::span<const graph::Vertex> involved,
                       const SimulatorEnv& env,
                       MigrationSink& sink) override;

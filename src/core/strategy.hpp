@@ -83,27 +83,6 @@ class ShardingStrategy {
     return kAlwaysConsult;
   }
 
-  /// Whether the simulator may replay this strategy through the batched
-  /// two-stage window pipeline (SimulatorConfig::replay_threads >= 2).
-  /// Under batched replay the simulator places a window's first-appearing
-  /// vertices in trace order *before* recording any of the window's calls,
-  /// so a strategy may opt in only if:
-  ///  * place() depends on nothing beyond (v, peers, env.k(),
-  ///    env.shard_vertex_counts(), env.current_partition(), env.now()) —
-  ///    those are bit-identical at each placement in both replay modes;
-  ///    mid-window graph state, shard loads and window metrics are NOT
-  ///    (they lag behind until the window's bulk apply);
-  ///  * on_transaction() is the inherited no-op (batched replay never
-  ///    invokes the per-transaction hook, so online-migration strategies
-  ///    must stay on the serial path);
-  ///  * should_repartition()/compute_partition() only run at window
-  ///    flushes, where the two modes agree exactly (always true — the
-  ///    simulator never calls them elsewhere).
-  /// The conservative default keeps unknown strategies on the serial
-  /// path; the paper's five built-ins all satisfy the contract and
-  /// override this to true.
-  virtual bool supports_batched_replay() const { return false; }
-
   /// Computes the new assignment for every currently known vertex.
   /// Must return a complete partition of env.current_partition().size()
   /// vertices into env.k() shards.

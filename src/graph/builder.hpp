@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/check.hpp"
 
 namespace ethshard::graph {
 
@@ -24,19 +23,6 @@ namespace ethshard::graph {
 struct EdgeInsert {
   bool new_directed_edge = false;
   bool new_undirected_edge = false;
-};
-
-/// One pre-aggregated pair of directed edge weights in the builder's
-/// canonical orientation: u <= v, `fwd` is the accumulated u→v weight
-/// (and the full weight of a self-loop when u == v), `rev` is v→u.
-/// This is exactly the builder's internal pair-map entry, so a batch of
-/// deltas applies with one hash probe per *pair* instead of one per call
-/// — the bulk entry point behind the simulator's two-stage window replay.
-struct PairDelta {
-  Vertex u = 0;
-  Vertex v = 0;
-  Weight fwd = 0;
-  Weight rev = 0;
 };
 
 /// Mutable weighted directed multigraph with O(1) amortized edge
@@ -75,70 +61,6 @@ class GraphBuilder {
 
   /// Accumulates vertex activity weight.
   void add_vertex_weight(Vertex v, Weight weight);
-
-  /// Applies a batch of pre-aggregated pair deltas — equivalent to the
-  /// add_edge calls the batch summarizes, in any order, but with a single
-  /// hash probe per distinct pair. `on_new_undirected(u, v)` fires for
-  /// each pair {u, v} (u < v) that had never interacted before, at the
-  /// moment add_edge would have reported new_undirected_edge, so callers
-  /// maintaining distinct/cut counts stay exact. Preconditions per delta:
-  /// canonical orientation (u <= v), both endpoints exist, fwd + rev > 0,
-  /// and rev == 0 for self-loops (a self-loop's whole weight is fwd).
-  template <typename OnNewUndirected>
-  void apply_pair_deltas(std::span<const PairDelta> deltas,
-                         OnNewUndirected&& on_new_undirected) {
-    for (const PairDelta& d : deltas) {
-      ETHSHARD_CHECK(d.u <= d.v && d.v < vwgt_.size());
-      ETHSHARD_CHECK(d.fwd + d.rev > 0);
-      ETHSHARD_CHECK(d.u != d.v || d.rev == 0);
-      PairWeights& pw = pair_weight_[key(d.u, d.v)];
-      if (d.u != d.v && pw.fwd == 0 && pw.rev == 0) {
-        if (track_und_) {
-          und_[d.u].push_back(d.v);
-          und_[d.v].push_back(d.u);
-        }
-        ++num_und_edges_;
-        on_new_undirected(d.u, d.v);
-      }
-      if (d.fwd > 0 && pw.fwd == 0) ++num_dir_edges_;
-      if (d.rev > 0 && pw.rev == 0) ++num_dir_edges_;
-      pw.fwd += d.fwd;
-      pw.rev += d.rev;
-      total_edge_weight_ += d.fwd + d.rev;
-    }
-  }
-
-  /// Batched form of the callback overload: indices (into `deltas`) of
-  /// the pairs that were new undirected edges are collected into
-  /// `new_undirected` (cleared first; pass nullptr when not needed), so
-  /// the caller can classify the — typically few — new pairs in its own
-  /// tight loop after the bulk apply instead of through a callback in the
-  /// middle of it. Same preconditions as above.
-  void apply_pair_deltas(std::span<const PairDelta> deltas,
-                         std::vector<std::uint32_t>* new_undirected = nullptr) {
-    if (new_undirected != nullptr) new_undirected->clear();
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      const PairDelta& d = deltas[i];
-      ETHSHARD_CHECK(d.u <= d.v && d.v < vwgt_.size());
-      ETHSHARD_CHECK(d.fwd + d.rev > 0);
-      ETHSHARD_CHECK(d.u != d.v || d.rev == 0);
-      PairWeights& pw = pair_weight_[key(d.u, d.v)];
-      if (d.u != d.v && pw.fwd == 0 && pw.rev == 0) {
-        if (track_und_) {
-          und_[d.u].push_back(d.v);
-          und_[d.v].push_back(d.u);
-        }
-        ++num_und_edges_;
-        if (new_undirected != nullptr)
-          new_undirected->push_back(static_cast<std::uint32_t>(i));
-      }
-      if (d.fwd > 0 && pw.fwd == 0) ++num_dir_edges_;
-      if (d.rev > 0 && pw.rev == 0) ++num_dir_edges_;
-      pw.fwd += d.fwd;
-      pw.rev += d.rev;
-      total_edge_weight_ += d.fwd + d.rev;
-    }
-  }
 
   std::uint64_t num_vertices() const { return vwgt_.size(); }
   /// Number of distinct directed edges (parallel edges collapsed).

@@ -36,7 +36,7 @@ struct SpanRecord {
   std::uint32_t depth = 0;
 };
 
-/// One sample on a named counter track (queue depth, windows completed).
+/// One sample on a named counter track (a queue depth, a running count).
 /// Exported as a Chrome "C" event, so the viewer draws the series as a
 /// step graph under the timeline lanes.
 struct CounterRecord {
@@ -73,7 +73,7 @@ class TraceBuffer {
   /// counter store as its own budget (an unbounded sampler must not grow
   /// past what the span side is allowed).
   void record_counter(CounterRecord sample);
-  /// Names the timeline lane for a thread ordinal ("Stage A (aggregate)").
+  /// Names the timeline lane for a thread ordinal ("pool-worker-1").
   /// Last writer wins; unnamed lanes export as bare thread numbers.
   void set_thread_lane(std::uint32_t ordinal, std::string name);
 

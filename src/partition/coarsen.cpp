@@ -125,8 +125,7 @@ std::vector<CoarseLevel> coarsen_mt(const graph::Graph& g,
   const graph::Graph* cur = &g;
   while (cur->num_vertices() > target_vertices) {
     ETHSHARD_OBS_SPAN("level");
-    const std::uint64_t fine_n = cur->num_vertices();
-    ETHSHARD_OBS_HIST("mlkp/level_vertices", fine_n);
+    ETHSHARD_OBS_HIST("mlkp/level_vertices", cur->num_vertices());
     const std::uint64_t salt = rng.next();
     std::vector<graph::Vertex> match;
     {
@@ -143,7 +142,7 @@ std::vector<CoarseLevel> coarsen_mt(const graph::Graph& g,
     // Shrink factor of this level; a value near 1 means matching stalled.
     ETHSHARD_OBS_HIST("mlkp/level_shrink",
                       static_cast<double>(next.graph.num_vertices()) /
-                          static_cast<double>(fine_n));
+                          static_cast<double>(cur->num_vertices()));
     // Matching stalls (e.g. star graphs) → stop rather than loop forever.
     if (next.graph.num_vertices() >
         static_cast<std::uint64_t>(0.95 * static_cast<double>(

@@ -83,8 +83,9 @@ StrategyRunReport run_strategy(const Scenario& scenario,
                                      static_cast<double>(util::kDay)));
   }
 
-  core::StrategyBuild build = core::StrategyRegistry::global().make_build(
-      spec, scenario.strategy_seed, options.default_threads);
+  const std::unique_ptr<core::ShardingStrategy> strategy =
+      core::StrategyRegistry::global().make(spec, scenario.strategy_seed,
+                                            options.default_threads);
 
   // The scenario's invariants, evaluated streamingly off the telemetry
   // consumer hook. Drift only checks at the golden's own scale — a
@@ -120,16 +121,13 @@ StrategyRunReport run_strategy(const Scenario& scenario,
   cfg.load_model = scenario.load_model;
   cfg.telemetry = sink.get();
   cfg.consumer = &set;
-  cfg.replay_threads = build.replay_threads;
-  cfg.queue_capacity = build.queue_capacity;
-  cfg.aggregation_shards = build.aggregation_shards;
 
   // Bracket the replay with a peak-RSS reset so the reported high-water
   // mark is attributable to this (scenario, strategy) cell alone.
   util::reset_peak_rss();
   const auto t0 = std::chrono::steady_clock::now();
   std::unique_ptr<workload::BlockSource> source = factory->open();
-  core::ShardingSimulator sim(*source, *build.strategy, cfg);
+  core::ShardingSimulator sim(*source, *strategy, cfg);
   const core::SimulationResult result = sim.run();
   set.on_run_end(result);
   const auto t1 = std::chrono::steady_clock::now();

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 
 #if !defined(__linux__)
 #include <sys/resource.h>
@@ -54,17 +53,6 @@ std::uint64_t peak_rss_bytes() {
   rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-#endif
-}
-
-double thread_cpu_ms() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) / 1e6;
-#else
-  return 0;
 #endif
 }
 

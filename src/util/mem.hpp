@@ -25,12 +25,4 @@ std::uint64_t peak_rss_bytes();
 /// process-lifetime maximum. Returns false when unsupported.
 bool reset_peak_rss();
 
-/// CPU time consumed by the calling thread so far, in milliseconds; 0
-/// when the platform has no per-thread CPU clock. Unlike a wall clock,
-/// deltas of this are immune to preemption — on an oversubscribed host
-/// they measure only the work the thread actually did, which is what
-/// makes the replay pipeline's serial-vs-pipelined probe honest there
-/// (see core/simulator.cpp run_pipelined).
-double thread_cpu_ms();
-
 }  // namespace ethshard::util

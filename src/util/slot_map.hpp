@@ -1,18 +1,20 @@
 // Epoch-cleared open-addressing hash map for hot aggregation loops.
 //
-// The window aggregator (core/window_aggregator.cpp) probes a
-// pair-or-vertex → slot-index map a couple of times per call, clears it
-// once per window, and never erases individual keys. std::unordered_map
-// is a poor fit for that shape: every insert allocates a node, every
-// probe chases a bucket chain, and clear() walks and frees all of them.
-// SlotMap is the purpose-built replacement — flat power-of-two storage,
-// linear probing, and an epoch stamp per slot so clear() is a counter
-// bump instead of a sweep. Inserts amortize to O(1) with no per-entry
-// allocation; rehash copies only live (current-epoch) slots.
+// Shaped for a loop that probes a pair-or-vertex → slot-index map a
+// couple of times per call, clears it once per window, and never erases
+// individual keys. std::unordered_map is a poor fit for that shape:
+// every insert allocates a node, every probe chases a bucket chain, and
+// clear() walks and frees all of them. SlotMap is the purpose-built
+// replacement — flat power-of-two storage, linear probing, and an epoch
+// stamp per slot so clear() is a counter bump instead of a sweep.
+// Inserts amortize to O(1) with no per-entry allocation; rehash copies
+// only live (current-epoch) slots. Nothing in the replay uses it yet; it
+// is the building block for a flat pair store in place of GraphBuilder's
+// std::unordered_map.
 //
 // Not a general map: u64 keys, u32 values, no erase, and the caller must
 // keep the map alive across windows to profit from the retained
-// capacity. Single-threaded (each pipeline shard owns its own).
+// capacity. Single-threaded.
 #pragma once
 
 #include <cstdint>

@@ -64,12 +64,6 @@ class BlockSource {
   /// replaying a held History stays copy-free.
   virtual const eth::Block* next_ref();
 
-  /// The whole-chain escape hatch: non-null when every block already
-  /// sits in memory (MaterializedSource), letting consumers that can
-  /// exploit random access (the pipelined replay's window_spans path)
-  /// skip per-block buffering. Null for genuinely streaming sources.
-  virtual const eth::Chain* materialized_chain() const { return nullptr; }
-
   /// The account/contract directory describing the stream's vertices, or
   /// nullptr while it is not (yet) available. Materialized sources can
   /// serve it up front; generated and trace sources complete it only
@@ -82,7 +76,7 @@ class BlockSource {
 
 /// Streams an in-memory chain — the exact-back-compat wrapper that makes
 /// every History-taking call site a BlockSource call site. Zero-copy via
-/// next_ref()/materialized_chain(); next() copies.
+/// next_ref(); next() copies.
 class MaterializedSource final : public BlockSource {
  public:
   /// `chain` (and `accounts`, when given) must outlive the source.
@@ -92,7 +86,6 @@ class MaterializedSource final : public BlockSource {
   const SourceInfo& info() const override { return info_; }
   bool next(eth::Block& out) override;
   const eth::Block* next_ref() override;
-  const eth::Chain* materialized_chain() const override { return chain_; }
   const eth::AccountRegistry* directory() const override { return accounts_; }
 
  private:

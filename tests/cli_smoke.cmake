@@ -71,6 +71,25 @@ expect_sha256(${WINDOWS}
   b67f19c510023158c2f15811544d3c021661c7e05d8cec093d80254546bb02e6)
 expect_timers(${METRICS_CSV} ingest/read_trace_ms sim/run_ms)
 
+# Replay has no thread knob: --replay-threads is an unknown flag, which
+# the CLI names in its unused-flag warning, and the windows keep the pin.
+set(WINDOWS_UNUSED "${WORKDIR}/windows_unused_flag.csv")
+execute_process(
+  COMMAND ${CLI} simulate --trace ${TRACE} --method Hashing --shards 2
+          --csv ${WINDOWS_UNUSED} --replay-threads 2
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "simulate --replay-threads 2 failed (rc=${rc}):\n${err}")
+endif()
+if(NOT err MATCHES "warning: unused flag --replay-threads")
+  message(FATAL_ERROR
+    "simulate --replay-threads 2: no unused-flag warning, stderr:\n${err}")
+endif()
+expect_sha256(${WINDOWS_UNUSED}
+  b67f19c510023158c2f15811544d3c021661c7e05d8cec093d80254546bb02e6)
+
 # The in-process generator is timed as its own ingest layer.
 set(GEN_METRICS_CSV "${WORKDIR}/gen_metrics.csv")
 run_cli("moves" simulate --scale 0.0003 --seed 5 --method Hashing --shards 2

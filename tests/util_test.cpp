@@ -7,14 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/args.hpp"
@@ -22,7 +19,6 @@
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/hash.hpp"
-#include "util/pipeline.hpp"
 #include "util/rng.hpp"
 #include "util/slot_map.hpp"
 #include "util/sim_time.hpp"
@@ -699,211 +695,13 @@ TEST(SlotMap, ManyClearCyclesStayIndependent) {
 }
 
 TEST(SlotMap, PackedPairKeysDoNotCollide) {
-  // The aggregator packs (lo << 32 | hi) vertex pairs — keys differing
-  // only in the high half must still land in distinct slots.
+  // Packed (lo << 32 | hi) vertex pairs — keys differing only in the
+  // high half must still land in distinct slots.
   SlotMap m;
   for (std::uint64_t lo = 0; lo < 64; ++lo)
     for (std::uint64_t hi = lo; hi < 64; ++hi)
       EXPECT_TRUE(m.try_emplace((lo << 32) | hi, 0).second);
   EXPECT_EQ(m.size(), 64u * 65u / 2u);
-}
-
-// ---------------------------------------------------------- BoundedQueue
-
-TEST(BoundedQueue, FifoThroughOneThread) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
-  q.close();
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, PushAfterCloseIsRefused) {
-  BoundedQueue<int> q(2);
-  q.close();
-  EXPECT_FALSE(q.push(7));
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, ProducerConsumerPreservesOrderUnderBackpressure) {
-  constexpr int kItems = 10000;
-  BoundedQueue<int> q(2);  // tiny capacity forces producer stalls
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i)
-      if (!q.push(i)) return;
-    q.close();
-  });
-  int expect = 0;
-  while (const std::optional<int> v = q.pop()) EXPECT_EQ(*v, expect++);
-  producer.join();
-  EXPECT_EQ(expect, kItems);
-  // With capacity 2 and 10k items someone must have waited; the stall
-  // counters exist to expose exactly that to the obs layer.
-  EXPECT_GT(q.push_waits() + q.pop_waits(), 0u);
-}
-
-TEST(BoundedQueue, ConsumerDrainsBufferedItemsBeforeSeeingClose) {
-  BoundedQueue<std::string> q(8);
-  EXPECT_TRUE(q.push("a"));
-  EXPECT_TRUE(q.push("b"));
-  q.close();
-  EXPECT_EQ(q.pop(), "a");
-  EXPECT_EQ(q.pop(), "b");
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, FailRethrowsInConsumerAfterDrain) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  std::thread producer([&] {
-    try {
-      throw std::runtime_error("producer exploded");
-    } catch (...) {
-      q.fail(std::current_exception());
-    }
-  });
-  producer.join();
-  // Buffered work is still delivered; the error surfaces at end of queue.
-  EXPECT_EQ(q.pop(), 1);
-  try {
-    (void)q.pop();
-    FAIL() << "expected rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "producer exploded");
-  }
-}
-
-TEST(BoundedQueue, CloseWakesProducerBlockedAtCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));  // queue now full
-  std::atomic<int> refused{0};
-  std::thread producer([&] {
-    // Blocks at capacity; close() below must wake it, and the push must
-    // be refused rather than enqueued into a closed queue.
-    if (!q.push(3)) refused.fetch_add(1);
-  });
-  // Give the producer time to reach the blocked cv.wait before closing,
-  // so this exercises the wakeup rather than the fast-path refusal.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.close();
-  producer.join();  // hangs forever here if close() fails to wake push()
-  EXPECT_EQ(refused.load(), 1);
-  // The refused item was dropped, not enqueued.
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, PopAfterCloseDrainsRemainingItemsExactlyOnce) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(10));
-  EXPECT_TRUE(q.push(11));
-  EXPECT_TRUE(q.push(12));
-  q.close();
-  std::vector<int> drained;
-  while (const std::optional<int> v = q.pop()) drained.push_back(*v);
-  EXPECT_EQ(drained, (std::vector<int>{10, 11, 12}));
-  // Once drained, pop stays empty — no item is delivered twice.
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, MoveOnlyPayloadsWork) {
-  BoundedQueue<std::unique_ptr<int>> q(2);
-  EXPECT_TRUE(q.push(std::make_unique<int>(42)));
-  q.close();
-  const auto v = q.pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 42);
-}
-
-// Records every callback so tests can assert on depths and wait times.
-struct RecordingObserver final : QueueObserver {
-  struct Event {
-    bool push = false;
-    std::size_t depth = 0;
-    double wait_ms = 0;
-  };
-  std::mutex mu;
-  std::vector<Event> events;
-  void on_push(std::size_t depth, double wait_ms) override {
-    const std::lock_guard<std::mutex> lock(mu);
-    events.push_back({true, depth, wait_ms});
-  }
-  void on_pop(std::size_t depth, double wait_ms) override {
-    const std::lock_guard<std::mutex> lock(mu);
-    events.push_back({false, depth, wait_ms});
-  }
-};
-
-TEST(BoundedQueue, ObserverSeesDepthsWithoutWaitsWhenUncontended) {
-  BoundedQueue<int> q(4);
-  RecordingObserver obs;
-  q.set_observer(&obs);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_EQ(q.pop(), 1);
-  ASSERT_EQ(obs.events.size(), 3u);
-  EXPECT_TRUE(obs.events[0].push);
-  EXPECT_EQ(obs.events[0].depth, 1u);
-  EXPECT_EQ(obs.events[1].depth, 2u);
-  EXPECT_FALSE(obs.events[2].push);
-  EXPECT_EQ(obs.events[2].depth, 1u);
-  for (const RecordingObserver::Event& e : obs.events)
-    EXPECT_DOUBLE_EQ(e.wait_ms, 0.0);  // nobody blocked
-}
-
-TEST(BoundedQueue, ObserverAttributesProducerBackpressureWait) {
-  BoundedQueue<int> q(1);  // full after one item
-  RecordingObserver obs;
-  q.set_observer(&obs);
-  EXPECT_TRUE(q.push(1));
-  std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
-  // Hold the queue full long enough that the producer measurably blocks.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_EQ(q.pop(), 2);
-
-  double blocked_push_ms = 0;
-  for (const RecordingObserver::Event& e : obs.events) {
-    EXPECT_LE(e.depth, 1u);  // depth never exceeds capacity
-    if (e.push) blocked_push_ms = std::max(blocked_push_ms, e.wait_ms);
-  }
-  EXPECT_GT(blocked_push_ms, 5.0);
-}
-
-TEST(BoundedQueue, ObserverAttributesConsumerPrefetchWait) {
-  BoundedQueue<int> q(2);
-  RecordingObserver obs;
-  q.set_observer(&obs);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    EXPECT_TRUE(q.push(7));
-    q.close();
-  });
-  EXPECT_EQ(q.pop(), 7);  // blocks until the delayed producer delivers
-  producer.join();
-
-  double blocked_pop_ms = 0;
-  for (const RecordingObserver::Event& e : obs.events)
-    if (!e.push) blocked_pop_ms = std::max(blocked_pop_ms, e.wait_ms);
-  EXPECT_GT(blocked_pop_ms, 5.0);
-}
-
-TEST(BoundedQueue, ObserverSilentWhenDetached) {
-  BoundedQueue<int> q(2);
-  RecordingObserver obs;
-  q.set_observer(&obs);
-  q.set_observer(nullptr);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(obs.events.empty());
 }
 
 }  // namespace

@@ -4,9 +4,8 @@
 #   tools/ci_sanitize.sh                  # asan suite (the historical default)
 #   tools/ci_sanitize.sh --suite asan     # ASan+UBSan build, full test suite
 #   tools/ci_sanitize.sh --suite tsan     # TSan build, parallel partition +
-#                                         # util + pipelined-replay suites
-#                                         # (the multithreaded surface worth
-#                                         # racing)
+#                                         # util suites (the multithreaded
+#                                         # surface worth racing)
 #   tools/ci_sanitize.sh --suite all      # both, asan first
 #
 # Extra arguments after the suite selector are forwarded to ctest.
@@ -34,15 +33,9 @@ run_asan() {
 run_tsan() {
   cmake --preset tsan
   # Only the binaries with real multithreaded surface — building the whole
-  # tree (benches, examples) under TSan buys nothing. test_pipelined_replay
-  # covers the replay pipeline's producer/consumer handoff, the first
-  # cross-thread traffic on the simulator's hot path.
+  # tree (benches, examples) under TSan buys nothing.
   cmake --build build-tsan -j "$(nproc)" \
-    --target test_parallel_partition test_util test_pipelined_replay
-  # The tsan preset pins ETHSHARD_DIFF_SCALE=0.0002 as a cache variable
-  # (tests/CMakeLists.txt injects it into the tests' environment): smaller
-  # histories, same strategy × load-model × thread matrix — TSan multiplies
-  # runtime ~10x and the differential coverage is per-window.
+    --target test_parallel_partition test_util
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --preset tsan "$@"
 }

@@ -15,15 +15,14 @@
 // Snapshot schema (v1):
 //   {"schema_version": 1, "stamp": "...", "git_sha": "...",
 //    "hostname": "...", "threads": N, "requested_threads": N,
-//    "replay_threads": N, "scale": F, "seed": N, "entries": [
+//    "scale": F, "seed": N, "entries": [
 //      {"name": "...", "reps": N, "threads": N, "requested_threads": N,
 //       "wall_ms": F, "p50_ms": F, "p99_ms": F, "peak_rss_mb": F}, ...]}
-// The per-entry "threads" records the *effective* thread knob that bench
-// ran with (partitioner threads for mlkp_*, replay threads for
-// simulate_*) and "requested_threads" the pre-clamp ask — they differ
-// only when --threads exceeded the host's hardware count (a stderr
-// warning flags the clamp), and requested_threads is 0 on the entries
-// that use replay_threads=auto. "peak_rss_mb" is the resident
+// The per-entry "threads" records the *effective* thread count that
+// bench ran with (partitioner threads for mlkp_*/parallel_*, 1 for the
+// single-threaded rest) and "requested_threads" the pre-clamp ask — they
+// differ only when --threads exceeded the host's hardware count (a
+// stderr warning flags the clamp). "peak_rss_mb" is the resident
 // high-water mark over that bench's reps (util::reset_peak_rss before
 // each bench; 0 when the platform cannot measure it). The checker's
 // field scanner ignores keys it does not know, so baselines without
@@ -202,14 +201,6 @@ int cmd_run(const util::ArgParser& args) {
   const graph::Graph ba_large =
       graph::make_barabasi_albert(n_large, 4, rng_large);
   const workload::History history = bench::make_history(scale, seed);
-  // Auto replay (replay_threads = 0): on hosts with >= 2 hardware
-  // threads it starts the pipeline at this width and runs the measured
-  // probe, falling back to serial mid-run when the pipeline cannot win;
-  // on single-core hosts it resolves straight to serial (width 1). Auto
-  // entries record requested_threads = 0 (the auto sentinel) and
-  // threads = the resolved starting width.
-  const std::size_t auto_replay =
-      util::default_thread_count() < 2 ? 1 : util::default_thread_count();
 
   std::vector<BenchResult> results;
   results.push_back(run_bench("mlkp_partition_serial", reps, 1, 1, [&] {
@@ -245,38 +236,21 @@ int cmd_run(const util::ArgParser& args) {
         partition::parallel_matching(ba, partition::MatchingScheme::kHeavyEdge,
                                      seed, threads);
       }));
-  results.push_back(run_bench("simulate_hashing", reps, 0, auto_replay, [&] {
+  results.push_back(run_bench("simulate_hashing", reps, 1, 1, [&] {
     bench::simulate(history, core::Method::kHashing, 4, seed);
   }));
-  // The same cell with the replay mode pinned both ways: serial
-  // (replay_threads = 1) is the baseline the pipelined and auto entries
-  // are judged against, and the pinned pipeline (replay_threads = 2)
-  // locks in the pipelined-replay win even if the simulator's default
-  // ever changes, isolated from the auto-detection path.
-  results.push_back(run_bench("simulate_hashing_serial", reps, 1, 1, [&] {
-    bench::simulate(history, core::Method::kHashing, 4, seed, 1);
-  }));
-  results.push_back(run_bench("simulate_hashing_pipelined", reps, 2, 2, [&] {
-    bench::simulate(history, core::Method::kHashing, 4, seed, 2);
-  }));
-  results.push_back(run_bench("simulate_rmetis", reps, 0, auto_replay, [&] {
+  results.push_back(run_bench("simulate_rmetis", reps, 1, 1, [&] {
     bench::simulate(history, core::Method::kRMetis, 4, seed);
   }));
   // Migration-heavy cell: KL (the balanced-label-propagation scheme) at
   // k = 8 moves vertices between shards every period, stressing the
   // incremental static-cut maintenance and window-graph construction.
-  results.push_back(run_bench("simulate_blp_k8", reps, 0, auto_replay, [&] {
+  results.push_back(run_bench("simulate_blp_k8", reps, 1, 1, [&] {
     bench::simulate(history, core::Method::kKl, 8, seed);
   }));
-  results.push_back(run_bench("simulate_blp_k8_serial", reps, 1, 1, [&] {
-    bench::simulate(history, core::Method::kKl, 8, seed, 1);
-  }));
-  results.push_back(run_bench("simulate_blp_k8_pipelined", reps, 2, 2, [&] {
-    bench::simulate(history, core::Method::kKl, 8, seed, 2);
-  }));
   // Many-call transaction shape: attack spam fanning out to ~200 dummy
-  // accounts per transaction, replayed serially (replay_threads = 1) to
-  // exercise the per-transaction involved-set dedup on wide call lists.
+  // accounts per transaction, exercising the per-transaction
+  // involved-set dedup on wide call lists.
   workload::GeneratorConfig manycall_cfg;
   manycall_cfg.scale = scale / 4;
   manycall_cfg.seed = seed;
@@ -284,7 +258,7 @@ int cmd_run(const util::ArgParser& args) {
   const workload::History manycall_history =
       workload::EthereumHistoryGenerator(manycall_cfg).generate();
   results.push_back(run_bench("simulate_manycall", reps, 1, 1, [&] {
-    bench::simulate(manycall_history, core::Method::kHashing, 4, seed, 1);
+    bench::simulate(manycall_history, core::Method::kHashing, 4, seed);
   }));
   // Long-gap trace: the same history with an 80-year quiet period spliced
   // into the middle — ~175k empty 4-hour windows that the simulator must
@@ -295,7 +269,7 @@ int cmd_run(const util::ArgParser& args) {
                      : (blocks.front().timestamp + blocks.back().timestamp) / 2;
   const workload::History gap_history =
       workload::with_traffic_gap(history, mid, 80 * 365 * util::kDay);
-  results.push_back(run_bench("simulate_longgap", reps, 0, auto_replay, [&] {
+  results.push_back(run_bench("simulate_longgap", reps, 1, 1, [&] {
     bench::simulate(gap_history, core::Method::kHashing, 4, seed);
   }));
   // Streaming cell: the same hashing workload, but the simulator pulls
@@ -304,7 +278,7 @@ int cmd_run(const util::ArgParser& args) {
   // roughly simulate_hashing plus the generate() cost the other cells
   // pay outside their timed region), with the peak_rss_mb column
   // showing the whole-history copy it avoids.
-  results.push_back(run_bench("simulate_streaming", reps, 0, auto_replay, [&] {
+  results.push_back(run_bench("simulate_streaming", reps, 1, 1, [&] {
     workload::GeneratorConfig cfg;
     cfg.scale = scale;
     cfg.seed = seed;
@@ -347,7 +321,6 @@ int cmd_run(const util::ArgParser& args) {
       << "  \"hostname\": \"" << host_name() << "\",\n"
       << "  \"threads\": " << threads << ",\n"
       << "  \"requested_threads\": " << requested_threads << ",\n"
-      << "  \"replay_threads\": " << auto_replay << ",\n"
       << "  \"scale\": " << fmt(scale) << ",\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"entries\": [\n";
