@@ -47,7 +47,8 @@ class SimulatorEnv {
 
   /// Snapshot of the interactions since the last repartition, induced on
   /// active vertices, symmetrized, with *activity* vertex weights — the
-  /// R-METIS/TR-METIS/KL input. O(n + m_window).
+  /// R-METIS/TR-METIS/KL input. O(m_window) plus a sort of the active
+  /// vertices; independent of the history's size.
   virtual WindowGraph window_graph() const = 0;
 };
 

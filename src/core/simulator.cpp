@@ -34,18 +34,12 @@ class ShardingSimulator::Env final : public SimulatorEnv {
   }
 
   WindowGraph window_graph() const override {
-    // Active = touched by a call this window (endpoints always accrue
-    // activity weight). The induced symmetrized snapshot comes straight
-    // from the window builder's undirected adjacency, through scratch
-    // buffers that persist across windows.
-    std::vector<graph::Vertex>& active = sim_.window_active_;
-    active.clear();
-    for (graph::Vertex v = 0; v < sim_.window_.num_vertices(); ++v)
-      if (sim_.window_.vertex_weight(v) > 0) active.push_back(v);
+    // The store's window layer: active = touched by a call since the last
+    // repartition (endpoints always accrue window activity), built from
+    // the touched pairs only, through scratch that persists across calls.
     WindowGraph wg;
-    wg.undirected = sim_.window_.build_undirected_induced(
-        active, sim_.window_old_to_new_);
-    wg.to_global = active;
+    wg.undirected = sim_.graph_.build_window(wg.to_global,
+                                             sim_.window_old_to_new_);
     return wg;
   }
 
@@ -126,8 +120,7 @@ void ShardingSimulator::ensure_vertex(graph::Vertex v) {
     part_.append(partition::kUnassigned);
     activity_.push_back(0);
   }
-  cumulative_.ensure_vertices(v + 1, /*default_weight=*/1);
-  window_.ensure_vertices(v + 1, /*default_weight=*/0);
+  graph_.ensure_vertices(v + 1, /*default_weight=*/1);
 }
 
 void ShardingSimulator::place_vertex(
@@ -206,16 +199,15 @@ void ShardingSimulator::process_transaction(const eth::Transaction& tx) {
 
     // Static-cut bookkeeping counts distinct *undirected* non-loop edges,
     // matching metrics::static_edge_cut over the symmetrized cumulative
-    // graph (a→b and b→a are one edge; self-loops can never be cut).
-    const graph::EdgeInsert ins = cumulative_.add_edge(c.from, c.to, 1);
+    // graph (a→b and b→a are one edge; self-loops can never be cut). The
+    // same add_edge accumulates the edge into the window layer.
+    const graph::EdgeInsert ins = graph_.add_edge(c.from, c.to, 1);
     if (ins.new_undirected_edge) {
       ++distinct_edges_;
       if (sf != st) ++cut_edges_;
     }
-
-    window_.add_edge(c.from, c.to, 1);
-    window_.add_vertex_weight(c.from, load);
-    if (c.to != c.from) window_.add_vertex_weight(c.to, load);
+    graph_.add_window_weight(c.from, load);
+    if (c.to != c.from) graph_.add_window_weight(c.to, load);
 
     ++executed_total_;
     if (c.from != c.to) {
@@ -245,37 +237,34 @@ double ShardingSimulator::current_static_balance() const {
 void ShardingSimulator::apply_cut_delta(graph::Vertex v,
                                         partition::ShardId from,
                                         partition::ShardId to) {
-  const auto neighbors = cumulative_.undirected_neighbors(v);
-  for (const graph::Vertex u : neighbors) {
+  graph_.for_each_undirected_neighbor(v, [&](graph::Vertex u) {
     const partition::ShardId su = part_.shard_of(u);
     if (su == from)
       ++cut_edges_;  // {v, u} was internal, v is leaving
     else if (su == to)
       --cut_edges_;  // {v, u} was cut, v joins u's shard
-  }
-  ETHSHARD_OBS_COUNT("sim/cut_delta_arcs_scanned", neighbors.size());
+  });
+  ETHSHARD_OBS_COUNT("sim/cut_delta_arcs_scanned",
+                     graph_.undirected_degree(v));
 }
 
 void ShardingSimulator::recompute_static_cut() {
   std::uint64_t cut = 0;
-  const std::uint64_t n = cumulative_.num_vertices();
-  for (graph::Vertex v = 0; v < n; ++v)
-    for (const graph::Vertex u : cumulative_.undirected_neighbors(v)) {
-      if (u <= v) continue;  // count each undirected edge once
-      if (part_.shard_of(v) != part_.shard_of(u)) ++cut;
-    }
+  graph_.for_each_undirected_edge([&](graph::Vertex u, graph::Vertex v) {
+    if (part_.shard_of(u) != part_.shard_of(v)) ++cut;
+  });
   cut_edges_ = cut;
   ETHSHARD_OBS_COUNT("sim/static_cut_recomputes", 1);
 }
 
 const graph::Graph& ShardingSimulator::cumulative_snapshot() const {
-  if (cum_snapshot_vertices_ != cumulative_.num_vertices() ||
-      cum_snapshot_edges_ != cumulative_.num_edges() ||
-      cum_snapshot_weight_ != cumulative_.total_edge_weight()) {
-    cum_snapshot_ = cumulative_.build_undirected();
-    cum_snapshot_vertices_ = cumulative_.num_vertices();
-    cum_snapshot_edges_ = cumulative_.num_edges();
-    cum_snapshot_weight_ = cumulative_.total_edge_weight();
+  if (cum_snapshot_vertices_ != graph_.num_vertices() ||
+      cum_snapshot_edges_ != graph_.num_edges() ||
+      cum_snapshot_weight_ != graph_.total_edge_weight()) {
+    cum_snapshot_ = graph_.build_undirected();
+    cum_snapshot_vertices_ = graph_.num_vertices();
+    cum_snapshot_edges_ = graph_.num_edges();
+    cum_snapshot_weight_ = graph_.total_edge_weight();
     ETHSHARD_OBS_COUNT("sim/cumulative_snapshot_builds", 1);
   } else {
     ETHSHARD_OBS_COUNT("sim/cumulative_snapshot_reuses", 1);
@@ -291,9 +280,9 @@ void ShardingSimulator::verify_incremental_state() {
                          << incremental_cut << " vs recomputed "
                          << cut_edges_);
   ETHSHARD_CHECK_MSG(
-      distinct_edges_ == cumulative_.num_undirected_edges(),
+      distinct_edges_ == graph_.num_undirected_edges(),
       "distinct-edge count diverged: " << distinct_edges_ << " vs "
-                                       << cumulative_.num_undirected_edges());
+                                       << graph_.num_undirected_edges());
 }
 
 void ShardingSimulator::flush_window(util::Timestamp window_end) {
@@ -400,7 +389,7 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
     const partition::ShardId b = next.shard_of(v);
     if (a == b) continue;
     reassigned_.push_back(v);
-    delta_scan_arcs += cumulative_.undirected_neighbors(v).size();
+    delta_scan_arcs += graph_.undirected_degree(v);
     if (a == partition::kUnassigned || b == partition::kUnassigned)
       continue;
     ++moves;
@@ -410,9 +399,12 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
   // Assignment-dependent bookkeeping follows the moved vertices only.
   // Each vertex's cut delta is evaluated against the current part_ state
   // and applied before its own reassignment, so sequential application
-  // is exact for any move set. When the moved adjacency exceeds a full
-  // sweep (2 arcs per distinct edge), recompute instead.
-  const bool delta_cheaper = delta_scan_arcs < 2 * distinct_edges_;
+  // is exact for any move set. A neighbor-list step is a dependent load,
+  // while the full sweep reads the pair array in order: on the R-METIS
+  // and KL replays at scale 0.01 the sweep is as fast or faster until the
+  // moved adjacency falls below an eighth of the distinct edges, so only
+  // smaller move sets take the delta path.
+  const bool delta_cheaper = 8 * delta_scan_arcs < distinct_edges_;
   for (graph::Vertex v : reassigned_) {
     const partition::ShardId a = part_.shard_of(v);
     const partition::ShardId b = next.shard_of(v);
@@ -431,14 +423,13 @@ bool ShardingSimulator::maybe_repartition(const WindowSnapshot& snapshot) {
 
   if (cfg_.verify_incremental) {
     verify_incremental_state();
-    ETHSHARD_CHECK_MSG(cumulative_snapshot() == cumulative_.build_undirected(),
+    ETHSHARD_CHECK_MSG(cumulative_snapshot() == graph_.build_undirected(),
                        "cached cumulative snapshot diverged");
   }
 
   // A fresh activity window begins at every repartition (§II-C R-METIS:
   // the reduced graph "starts at the last (re)partitioning").
-  window_.reset_edges(/*default_vertex_weight=*/0);
-  window_.ensure_vertices(part_.size(), 0);
+  graph_.reset_window();
 
   last_repartition_ = snapshot.window_end;
   result_.repartitions.push_back(RepartitionEvent{
@@ -520,6 +511,11 @@ SimulationResult ShardingSimulator::run() {
 
   ETHSHARD_OBS_GAUGE("sim/peak_rss_mb",
                      static_cast<double>(util::peak_rss_bytes()) /
+                         (1024.0 * 1024.0));
+  ETHSHARD_OBS_GAUGE("sim/graph_pairs",
+                     static_cast<double>(graph_.num_pairs()));
+  ETHSHARD_OBS_GAUGE("sim/graph_store_mb",
+                     static_cast<double>(graph_.memory_bytes()) /
                          (1024.0 * 1024.0));
 
   result_.vertices = part_.size();

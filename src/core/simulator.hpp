@@ -3,9 +3,10 @@
 // Replays a blockchain history call by call against a sharding strategy,
 // maintaining: the growing assignment of accounts to shards (with the
 // paper's online placement of newly appearing accounts), the cumulative
-// and since-last-repartition interaction graphs, per-4-hour-window dynamic
-// metrics, incrementally tracked static metrics, and the moves incurred by
-// every repartition. This is what produces the data behind Figs. 3–5.
+// interaction graph with its since-last-repartition window layer,
+// per-4-hour-window dynamic metrics, incrementally tracked static metrics,
+// and the moves incurred by every repartition. This is what produces the
+// data behind Figs. 3–5.
 #pragma once
 
 #include <chrono>
@@ -177,10 +178,10 @@ class ShardingSimulator {
   void apply_cut_delta(graph::Vertex v, partition::ShardId from,
                        partition::ShardId to);
   /// From-scratch O(E) static-cut sweep — the delta path's fallback (when
-  /// a repartition moves more adjacency than a full sweep would touch)
+  /// a repartition moves too much adjacency for the delta to be cheaper)
   /// and the verify_incremental cross-check.
   void recompute_static_cut();
-  /// Cached symmetrized snapshot of cumulative_, rebuilt only when edges
+  /// Cached symmetrized snapshot of graph_, rebuilt only when edges
   /// or vertices were added since the last call.
   const graph::Graph& cumulative_snapshot() const;
   void verify_incremental_state();
@@ -195,11 +196,10 @@ class ShardingSimulator {
   SimulatorConfig cfg_;
 
   partition::Partition part_;
-  graph::GraphBuilder cumulative_;  // unit vertex weights
-  // Window-activity vertex weights. Only whole-window snapshots are ever
-  // taken from it, so it skips per-vertex neighbor tracking (two list
-  // appends per new pair saved on the per-call hot path).
-  graph::GraphBuilder window_{/*track_und_neighbors=*/false};
+  // The cumulative graph (unit vertex weights) and, in its window layer,
+  // the interactions since the last repartition with their activity
+  // vertex weights — one store, one hash probe per call.
+  graph::GraphBuilder graph_;
   std::vector<graph::Weight> activity_;  // cumulative per-vertex activity
 
   std::vector<std::uint64_t> shard_counts_;
@@ -214,17 +214,16 @@ class ShardingSimulator {
   std::uint64_t cut_edges_ = 0;
 
   // Cached Env::cumulative_graph() snapshot. The stamps capture every
-  // mutation cumulative_ can see (the simulator only ever grows it via
-  // ensure_vertices/add_edge; its vertex weights stay at 1).
+  // mutation of graph_'s cumulative view (the simulator only ever grows it
+  // via ensure_vertices/add_edge; its vertex weights stay at 1).
   mutable graph::Graph cum_snapshot_;
   mutable std::uint64_t cum_snapshot_vertices_ = ~std::uint64_t{0};
   mutable std::uint64_t cum_snapshot_edges_ = ~std::uint64_t{0};
   mutable graph::Weight cum_snapshot_weight_ = 0;
 
-  // Scratch reused by every Env::window_graph() construction (active
-  // vertex list + old→new id map, kept all-kInvalid between calls) and
-  // by maybe_repartition's moved-vertex collection.
-  mutable std::vector<graph::Vertex> window_active_;
+  // Scratch reused by every Env::window_graph() construction (old→new id
+  // map, kept all-kInvalid between calls) and by maybe_repartition's
+  // moved-vertex collection.
   mutable std::vector<graph::Vertex> window_old_to_new_;
   std::vector<graph::Vertex> reassigned_;
 

@@ -7,11 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/slot_map.hpp"
 
 namespace ethshard::graph {
 
@@ -26,28 +25,28 @@ struct EdgeInsert {
 };
 
 /// Mutable weighted directed multigraph with O(1) amortized edge
-/// accumulation. Vertex ids must stay below 2^32 (the edge key packs two
-/// ids into 64 bits); the Ethereum graph through 2017 has ~5e7 vertices,
-/// far below the limit.
+/// accumulation, plus a window layer over the same edges: their weight
+/// since the last reset_window() and a separate per-vertex window
+/// activity. Vertex ids must stay below 2^32 (the pair key packs two ids
+/// into 64 bits) and the store below 2^32 - 1 distinct pairs (pair
+/// numbers are 32-bit); the Ethereum graph through 2017 has ~5e7
+/// vertices, far below both limits.
 ///
-/// Both directions of a pair share one hash entry keyed by the canonical
-/// (min, max) orientation, so accumulating an edge costs a single probe
-/// and snapshots need no per-edge probes at all: the build methods walk
-/// the pair map once (the canonical key encodes both endpoints) and rely
-/// on Graph::from_csr's arc sort for deterministic output.
+/// One flat store holds every distinct unordered pair {min, max} in
+/// insertion order: its packed key, both directions' weights and its
+/// window weight. A util::SlotMap maps the key to the pair's number, so
+/// accumulating an edge costs a single probe and updates the cumulative
+/// and the window weight together. Each non-loop pair also has one link
+/// per endpoint, threading it into both endpoints' neighbor lists
+/// (per-vertex head, tail and degree), so neighbor iteration needs no
+/// per-vertex allocation. Snapshots walk the pair array once and rely on
+/// Graph::from_csr's arc sort for deterministic output.
 ///
-/// Per-vertex adjacency is opt-in: a builder constructed with
-/// `track_und_neighbors = true` (the default) additionally keeps each
-/// vertex's distinct undirected neighbors as a live list, which
-/// `undirected_neighbors` exposes for O(deg) incremental metric
-/// maintenance. Builders that only ever need whole-graph snapshots (the
-/// simulator's per-window activity graph) pass false and skip the two
-/// random-access list appends per new pair on the ingest hot path.
+/// The window layer keeps the list of pairs touched since the last reset
+/// and the list of vertices with window activity, so reset_window() and
+/// build_window() cost O(window), not O(history).
 class GraphBuilder {
  public:
-  explicit GraphBuilder(bool track_und_neighbors = true)
-      : track_und_(track_und_neighbors) {}
-
   /// Adds a vertex with the given initial weight; returns its id.
   Vertex add_vertex(Weight weight = 1);
 
@@ -56,7 +55,8 @@ class GraphBuilder {
   void ensure_vertices(std::uint64_t count, Weight default_weight = 1);
 
   /// Accumulates weight onto the directed edge u→v (creating it at first
-  /// use). Preconditions: both endpoints exist, weight > 0.
+  /// use), in the whole graph and in the window. Preconditions: both
+  /// endpoints exist, weight > 0.
   EdgeInsert add_edge(Vertex u, Vertex v, Weight weight = 1);
 
   /// Accumulates vertex activity weight.
@@ -68,6 +68,8 @@ class GraphBuilder {
   /// Number of distinct undirected non-loop edges — the |E| of the
   /// symmetrized view (the static edge-cut denominator).
   std::uint64_t num_undirected_edges() const { return num_und_edges_; }
+  /// Number of distinct unordered pairs in the store, self-loops included.
+  std::uint64_t num_pairs() const { return pairs_.size(); }
   /// Sum of all accumulated edge weights (= number of interactions).
   Weight total_edge_weight() const { return total_edge_weight_; }
 
@@ -76,21 +78,29 @@ class GraphBuilder {
   Weight edge_weight(Vertex u, Vertex v) const;
   Weight vertex_weight(Vertex v) const { return vwgt_[v]; }
 
-  /// Distinct non-loop neighbors of v in the symmetrized view, in
-  /// insertion order. Valid until the next mutating call. Requires
-  /// track_und_neighbors. (Weights live in the shared pair map; use
-  /// edge_weight / the build methods.)
-  std::span<const Vertex> undirected_neighbors(Vertex v) const;
+  /// Number of distinct non-loop neighbors of v in the symmetrized view.
+  std::uint64_t undirected_degree(Vertex v) const { return adj_[v].degree; }
 
-  /// Visits every distinct directed edge as f(u, v, accumulated_weight).
-  /// Order is unspecified. O(m).
+  /// Visits the distinct non-loop neighbors of v in the symmetrized view
+  /// as f(u), in insertion order. O(deg v). f must not mutate the builder.
   template <typename F>
-  void for_each_edge(F&& f) const {
-    for (const auto& [packed, pw] : pair_weight_) {
-      const Vertex lo = packed >> 32;
-      const Vertex hi = packed & 0xffffffffu;
-      if (pw.fwd > 0) f(lo, hi, pw.fwd);
-      if (pw.rev > 0) f(hi, lo, pw.rev);
+  void for_each_undirected_neighbor(Vertex v, F&& f) const {
+    for (std::uint32_t p = adj_[v].head; p != kNoPair;) {
+      const Link& link = links_[p];
+      const Vertex u = link.ends ^ v;
+      f(u);
+      p = v < u ? link.next_lo : link.next_hi;
+    }
+  }
+
+  /// Visits every distinct undirected non-loop edge once as f(u, v) with
+  /// u < v, in insertion order. O(pairs), a sequential sweep.
+  template <typename F>
+  void for_each_undirected_edge(F&& f) const {
+    for (const Pair& pair : pairs_) {
+      const Vertex lo = pair.key >> 32;
+      const Vertex hi = pair.key & 0xffffffffu;
+      if (lo != hi) f(lo, hi);
     }
   }
 
@@ -102,40 +112,76 @@ class GraphBuilder {
   /// by partitioners. O(n + m), no hash probes.
   Graph build_undirected() const;
 
-  /// Symmetrized snapshot induced on `vertices` (old ids; duplicates are
-  /// a precondition violation): arcs to vertices outside the set are
-  /// dropped, ids are renumbered to [0, vertices.size()) in the given
-  /// order, vertex weights are carried over. `old_to_new` is caller-owned
-  /// scratch so repeated calls do not reallocate; it must contain only
-  /// Graph::kInvalid entries on entry (any size — it grows on demand) and
-  /// is restored to that state before returning.
-  /// O(vertices.size() + distinct pairs in the builder).
-  Graph build_undirected_induced(std::span<const Vertex> vertices,
-                                 std::vector<Vertex>& old_to_new) const;
+  /// Accumulates window activity onto v: the vertex weight of the window
+  /// snapshot, kept apart from vertex_weight. Precondition: weight > 0.
+  void add_window_weight(Vertex v, Weight weight);
 
-  /// Drops every edge and resets all vertex weights to `default_weight`,
-  /// keeping the vertex count *and* per-vertex list capacity — the cheap
-  /// way to start a fresh activity window without reallocating adjacency
-  /// for every known vertex.
-  void reset_edges(Weight default_vertex_weight = 0);
+  /// Symmetrized snapshot of the window: the edges added since the last
+  /// reset_window() (all of them before the first reset), induced on the
+  /// vertices with window activity, which are renumbered to [0, count) in
+  /// ascending id order and written to `active` (local id i is
+  /// active[i]). Vertex weights are the window activity; self-loops and
+  /// edges with an inactive endpoint are dropped. `old_to_new` is
+  /// caller-owned scratch so repeated calls do not reallocate; it must
+  /// contain only Graph::kInvalid entries on entry (any size — it grows
+  /// on demand) and is restored to that state before returning.
+  /// O(window pairs + a log-linear sort of the active vertices).
+  Graph build_window(std::vector<Vertex>& active,
+                     std::vector<Vertex>& old_to_new) const;
+
+  /// Starts a fresh window: zeroes the window weight of every pair and
+  /// the window activity of every vertex touched since the last reset.
+  /// The whole graph is untouched. O(window).
+  void reset_window();
+
+  /// Bytes the store holds (allocated capacity): the pair array, the
+  /// SlotMap slots, the neighbor links, the per-vertex arrays and the
+  /// window lists.
+  std::uint64_t memory_bytes() const;
 
   void clear();
 
  private:
-  /// Both directions of the pair (min, max): fwd = min→max (and the full
-  /// weight of a self-loop), rev = max→min.
-  struct PairWeights {
+  static constexpr std::uint32_t kNoPair = 0xffffffffu;
+
+  /// One distinct unordered pair (min, max): fwd = min→max (and the full
+  /// weight of a self-loop), rev = max→min, window = both directions
+  /// since the last reset_window().
+  struct Pair {
+    std::uint64_t key = 0;
     Weight fwd = 0;
     Weight rev = 0;
+    Weight window = 0;
+  };
+
+  /// The same pair's place in min's and max's neighbor lists (unused for
+  /// self-loops). Kept apart from Pair so that a list walk reads 12 bytes
+  /// per step: from either endpoint v the other one is ends ^ v, and v is
+  /// min exactly when it is the smaller of the two.
+  struct Link {
+    std::uint32_t ends = 0;  // min ^ max
+    std::uint32_t next_lo = kNoPair;
+    std::uint32_t next_hi = kNoPair;
+  };
+
+  /// A vertex's neighbor list: first and last pair, and its length.
+  struct VertexLinks {
+    std::uint32_t head = kNoPair;
+    std::uint32_t tail = kNoPair;
+    std::uint32_t degree = 0;
   };
 
   static std::uint64_t key(Vertex u, Vertex v);
-  const PairWeights* find_pair(Vertex u, Vertex v) const;
+  void link(Vertex v, std::uint32_t p);
 
-  bool track_und_;
+  std::vector<Pair> pairs_;  // insertion order; index = pair number
+  std::vector<Link> links_;  // parallel to pairs_
+  util::SlotMap index_;      // packed key → pair number
   std::vector<Weight> vwgt_;
-  std::vector<std::vector<Vertex>> und_;  // distinct undirected neighbors
-  std::unordered_map<std::uint64_t, PairWeights> pair_weight_;
+  std::vector<VertexLinks> adj_;
+  std::vector<Weight> window_vwgt_;             // window activity
+  std::vector<std::uint32_t> window_pairs_;     // window weight > 0
+  std::vector<std::uint32_t> window_vertices_;  // window activity > 0
   Weight total_edge_weight_ = 0;
   std::uint64_t num_dir_edges_ = 0;
   std::uint64_t num_und_edges_ = 0;

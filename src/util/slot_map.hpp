@@ -8,9 +8,8 @@
 // replacement — flat power-of-two storage, linear probing, and an epoch
 // stamp per slot so clear() is a counter bump instead of a sweep.
 // Inserts amortize to O(1) with no per-entry allocation; rehash copies
-// only live (current-epoch) slots. Nothing in the replay uses it yet; it
-// is the building block for a flat pair store in place of GraphBuilder's
-// std::unordered_map.
+// only live (current-epoch) slots. graph::GraphBuilder indexes its flat
+// pair store with it (packed (min, max) vertex pair → pair number).
 //
 // Not a general map: u64 keys, u32 values, no erase, and the caller must
 // keep the map alive across windows to profit from the retained
@@ -66,8 +65,22 @@ class SlotMap {
     }
   }
 
+  /// The value stored for key, or nullptr when key is absent. The
+  /// pointer is valid until the next try_emplace or clear.
+  const std::uint32_t* find(std::uint64_t key) const {
+    std::size_t i = index_of(key);
+    while (true) {  // the load cap guarantees an empty slot ends the run
+      const Slot& s = slots_[i];
+      if (s.epoch != epoch_) return nullptr;
+      if (s.key == key) return &s.value;
+      i = (i + 1) & mask_;
+    }
+  }
+
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
+  /// Bytes of slot storage held (capacity, not live entries).
+  std::size_t memory_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
   struct Slot {

@@ -3,7 +3,8 @@
 # Usage: cmake -DCLI=<path-to-ethshard> -DWORKDIR=<scratch> [-DOBS=ON|OFF]
 #        -P cli_smoke.cmake
 # OBS says whether the observability layer is compiled in (default ON);
-# with it off, --metrics-out writes no timers and their check is skipped.
+# with it off, --metrics-out writes no timers or gauges and their checks
+# are skipped.
 
 if(NOT DEFINED CLI OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR "cli_smoke.cmake needs -DCLI=... and -DWORKDIR=...")
@@ -45,15 +46,16 @@ function(expect_sha256 path want)
   endif()
 endfunction()
 
-# Fails unless the metrics CSV at `path` lists every timer in ARGN.
-function(expect_timers path)
+# Fails unless the metrics CSV at `path` lists every metric of `kind`
+# (timer, gauge, ...) named in ARGN.
+function(expect_metrics path kind)
   if(NOT OBS)
     return()
   endif()
   file(READ "${path}" text)
   foreach(name IN LISTS ARGN)
-    if(NOT text MATCHES "(^|\n)timer,${name},")
-      message(FATAL_ERROR "--metrics-out ${path} lists no timer ${name}")
+    if(NOT text MATCHES "(^|\n)${kind},${name},")
+      message(FATAL_ERROR "--metrics-out ${path} lists no ${kind} ${name}")
     endif()
   endforeach()
 endfunction()
@@ -69,7 +71,9 @@ run_cli("moves" simulate --trace ${TRACE} --method Hashing --shards 2
         --metrics-out ${METRICS_CSV})
 expect_sha256(${WINDOWS}
   b67f19c510023158c2f15811544d3c021661c7e05d8cec093d80254546bb02e6)
-expect_timers(${METRICS_CSV} ingest/read_trace_ms sim/run_ms)
+expect_metrics(${METRICS_CSV} timer ingest/read_trace_ms sim/run_ms)
+# Where graph memory goes: the store's pair count and allocated size.
+expect_metrics(${METRICS_CSV} gauge sim/graph_pairs sim/graph_store_mb)
 
 # Replay has no thread knob: --replay-threads is an unknown flag, which
 # the CLI names in its unused-flag warning, and the windows keep the pin.
@@ -94,7 +98,7 @@ expect_sha256(${WINDOWS_UNUSED}
 set(GEN_METRICS_CSV "${WORKDIR}/gen_metrics.csv")
 run_cli("moves" simulate --scale 0.0003 --seed 5 --method Hashing --shards 2
         --metrics-out ${GEN_METRICS_CSV})
-expect_timers(${GEN_METRICS_CSV} ingest/generate_ms sim/run_ms)
+expect_metrics(${GEN_METRICS_CSV} timer ingest/generate_ms sim/run_ms)
 
 # Streaming telemetry: one JSONL record per window, schema v1.
 if(NOT EXISTS ${TELEMETRY})

@@ -2,6 +2,7 @@
 // behaviour, and the replay simulator's invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <tuple>
@@ -14,6 +15,7 @@
 #include "core/experiment.hpp"
 #include "core/result_io.hpp"
 #include "core/throughput.hpp"
+#include "eth/gas.hpp"
 #include "obs/obs.hpp"
 #include "util/csv.hpp"
 #include "util/check.hpp"
@@ -522,6 +524,111 @@ TEST(LabelAlignment, StructuralReshuffleStillCountsInFull) {
   EXPECT_GT(a.total_moves, 0u);
   EXPECT_LE(a.total_moves, b.total_moves);
   EXPECT_GE(a.total_moves, b.total_moves / 4);
+}
+
+// ------------------------------------------------------------ window layer
+
+/// Checks the simulator's window graph against a reference GraphBuilder
+/// fed only the calls since the previous repartition. on_transaction runs
+/// right after the simulator replays each transaction, in chain order, so
+/// a cursor over the history feeds the reference the same calls; at every
+/// compute_partition the reference's activity-weighted graph, induced on
+/// its active vertices, must equal env.window_graph(). Repartitions
+/// alternate between re-hashing every vertex (the static cut's full-sweep
+/// path) and moving one vertex in 64 (its per-vertex delta path), which
+/// verify_incremental cross-checks.
+class WindowCheckStrategy final : public ShardingStrategy {
+ public:
+  WindowCheckStrategy(const workload::History& history, LoadModel load)
+      : history_(history), load_(load) {}
+
+  std::string name() const override { return "WindowCheck"; }
+  partition::ShardId place(graph::Vertex v,
+                           std::span<const partition::ShardId>,
+                           const SimulatorEnv& env) override {
+    return place_by_hash(v, env.k(), salt_);
+  }
+  bool should_repartition(const WindowSnapshot& snapshot,
+                          const SimulatorEnv&) override {
+    return snapshot.since_last_repartition >= 4 * util::kDay;
+  }
+  partition::Partition compute_partition(const SimulatorEnv& env) override {
+    std::vector<graph::Vertex> active;
+    for (graph::Vertex v = 0; v < reference_.num_vertices(); ++v)
+      if (reference_.vertex_weight(v) > 0) active.push_back(v);
+    const WindowGraph wg = env.window_graph();
+    EXPECT_EQ(wg.to_global, active) << "repartition " << checks_;
+    EXPECT_EQ(wg.undirected, reference_.build_undirected().induced_subgraph(
+                                 active))
+        << "repartition " << checks_;
+    ++checks_;
+    if (wg.undirected.num_edges() > 0) ++nonempty_checks_;
+    reference_ = graph::GraphBuilder{};
+
+    partition::Partition next = env.current_partition();
+    if (checks_ % 2 == 0) {
+      ++salt_;
+      for (graph::Vertex v = 0; v < next.size(); ++v)
+        next.assign(v, place_by_hash(v, env.k(), salt_));
+    } else {
+      for (graph::Vertex v = checks_ % 64; v < next.size(); v += 64)
+        next.assign(v, (next.shard_of(v) + 1) % env.k());
+    }
+    return next;
+  }
+  void on_transaction(std::span<const graph::Vertex>, const SimulatorEnv&,
+                      MigrationSink&) override {
+    const auto& blocks = history_.chain.blocks();
+    while (blocks[block_].transactions.size() == tx_) {
+      ++block_;
+      tx_ = 0;
+    }
+    for (const eth::Call& c : blocks[block_].transactions[tx_++].calls) {
+      graph::Weight load = 1;
+      if (load_ == LoadModel::kGas)
+        load = 1 + eth::call_gas(c, /*callee_exists=*/true) / 1000;
+      reference_.ensure_vertices(std::max(c.from, c.to) + 1, 0);
+      reference_.add_edge(c.from, c.to, 1);
+      reference_.add_vertex_weight(c.from, load);
+      if (c.to != c.from) reference_.add_vertex_weight(c.to, load);
+    }
+    ++transactions_;
+  }
+
+  std::uint64_t checks() const { return checks_; }
+  std::uint64_t nonempty_checks() const { return nonempty_checks_; }
+  std::uint64_t transactions() const { return transactions_; }
+
+ private:
+  const workload::History& history_;
+  LoadModel load_;
+  graph::GraphBuilder reference_;  // activity as vertex weights
+  std::size_t block_ = 0;
+  std::size_t tx_ = 0;
+  std::uint64_t transactions_ = 0;
+  std::uint64_t checks_ = 0;
+  std::uint64_t nonempty_checks_ = 0;
+  std::uint64_t salt_ = 0;
+};
+
+TEST(WindowLayer, MatchesFreshBuilderAtEveryRepartition) {
+  std::uint64_t total_transactions = 0;
+  for (const eth::Block& block : tiny_history().chain.blocks())
+    total_transactions += block.transactions.size();
+
+  for (const LoadModel load : {LoadModel::kCalls, LoadModel::kGas}) {
+    WindowCheckStrategy strategy(tiny_history(), load);
+    SimulatorConfig cfg;
+    cfg.k = 4;
+    cfg.load_model = load;
+    cfg.verify_incremental = true;
+    ShardingSimulator sim(tiny_history(), strategy, cfg);
+    const SimulationResult r = sim.run();
+    EXPECT_EQ(strategy.transactions(), total_transactions);
+    EXPECT_EQ(strategy.checks(), r.repartitions.size());
+    EXPECT_GE(strategy.nonempty_checks(), 3u);
+    EXPECT_GT(r.total_moves, 0u);
+  }
 }
 
 // --------------------------------------------------------------- result io

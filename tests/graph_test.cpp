@@ -2,6 +2,8 @@
 // CSR invariants, symmetrization, induced subgraphs, generators, DOT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -127,6 +129,12 @@ TEST(GraphBuilder, EdgeInsertFlagsFirstUseOnly) {
   EXPECT_EQ(b.num_undirected_edges(), 1u);
 }
 
+std::vector<Vertex> neighbors_of(const GraphBuilder& b, Vertex v) {
+  std::vector<Vertex> out;
+  b.for_each_undirected_neighbor(v, [&](Vertex u) { out.push_back(u); });
+  return out;
+}
+
 TEST(GraphBuilder, UndirectedNeighborsDistinctInInsertionOrder) {
   GraphBuilder b;
   b.ensure_vertices(4);
@@ -135,33 +143,186 @@ TEST(GraphBuilder, UndirectedNeighborsDistinctInInsertionOrder) {
   b.add_edge(3, 1, 2);  // same pair as the first edge — no new neighbor
   b.add_edge(1, 1);     // self-loop — never a neighbor
   b.add_edge(1, 2);
-  const auto n1 = b.undirected_neighbors(1);
+  const std::vector<Vertex> n1 = neighbors_of(b, 1);
   ASSERT_EQ(n1.size(), 3u);
+  EXPECT_EQ(b.undirected_degree(1), 3u);
   EXPECT_EQ(n1[0], 3u);
   EXPECT_EQ(n1[1], 0u);
   EXPECT_EQ(n1[2], 2u);
-  ASSERT_EQ(b.undirected_neighbors(3).size(), 1u);
-  EXPECT_EQ(b.undirected_neighbors(3)[0], 1u);
-  EXPECT_TRUE(b.undirected_neighbors(2).size() == 1);
+  ASSERT_EQ(neighbors_of(b, 3).size(), 1u);
+  EXPECT_EQ(neighbors_of(b, 3)[0], 1u);
+  EXPECT_TRUE(b.undirected_degree(2) == 1);
 }
 
-TEST(GraphBuilder, UntrackedBuilderBuildsIdenticalSnapshots) {
-  util::Rng rng(11);
-  GraphBuilder tracked(/*track_und_neighbors=*/true);
-  GraphBuilder untracked(/*track_und_neighbors=*/false);
-  tracked.ensure_vertices(40);
-  untracked.ensure_vertices(40);
-  for (int i = 0; i < 300; ++i) {
-    const Vertex u = rng.uniform(40);
-    const Vertex v = rng.uniform(40);
-    const Weight w = 1 + rng.uniform(3);
-    tracked.add_edge(u, v, w);
-    untracked.add_edge(u, v, w);
+// A std::map model of the builder: per unordered pair both directions'
+// weights and the order of first insertion (which fixes each vertex's
+// neighbor sequence), plus the window, fed only the edges and activity
+// since the last reset_window().
+struct PairModel {
+  Weight fwd = 0;  // min→max (and a self-loop's full weight)
+  Weight rev = 0;  // max→min
+  std::uint64_t order = 0;
+};
+
+struct BuilderModel {
+  std::vector<Weight> vwgt;
+  std::map<std::pair<Vertex, Vertex>, PairModel> pairs;
+  std::map<std::pair<Vertex, Vertex>, Weight> window;
+  std::map<Vertex, Weight> window_activity;
+  std::uint64_t directed_edges = 0;
+  Weight total = 0;
+
+  Weight weight(Vertex u, Vertex v) const {
+    const auto it = pairs.find(std::minmax(u, v));
+    if (it == pairs.end()) return 0;
+    return u <= v ? it->second.fwd : it->second.rev;
   }
-  EXPECT_EQ(tracked.build_undirected(), untracked.build_undirected());
-  EXPECT_EQ(tracked.build_directed(), untracked.build_directed());
-  EXPECT_EQ(tracked.num_undirected_edges(), untracked.num_undirected_edges());
-  EXPECT_THROW(untracked.undirected_neighbors(0), util::CheckFailure);
+
+  std::uint64_t undirected_edges() const {
+    std::uint64_t n = 0;
+    for (const auto& [key, pm] : pairs) n += key.first != key.second;
+    return n;
+  }
+
+  std::vector<Vertex> neighbors(Vertex v) const {
+    std::vector<std::pair<std::uint64_t, Vertex>> by_order;
+    for (const auto& [key, pm] : pairs) {
+      if (key.first == key.second) continue;
+      if (key.first == v) by_order.emplace_back(pm.order, key.second);
+      if (key.second == v) by_order.emplace_back(pm.order, key.first);
+    }
+    std::sort(by_order.begin(), by_order.end());
+    std::vector<Vertex> out;
+    for (const auto& entry : by_order) out.push_back(entry.second);
+    return out;
+  }
+
+  Graph directed() const {
+    std::vector<std::vector<Arc>> adj(vwgt.size());
+    for (const auto& [key, pm] : pairs) {
+      if (pm.fwd > 0) adj[key.first].push_back(Arc{key.second, pm.fwd});
+      if (pm.rev > 0) adj[key.second].push_back(Arc{key.first, pm.rev});
+    }
+    return Graph::from_adjacency(std::move(adj), vwgt, /*directed=*/true);
+  }
+
+  Graph undirected() const {
+    std::vector<std::vector<Arc>> adj(vwgt.size());
+    for (const auto& [key, pm] : pairs) {
+      if (key.first == key.second) continue;
+      adj[key.first].push_back(Arc{key.second, pm.fwd + pm.rev});
+      adj[key.second].push_back(Arc{key.first, pm.fwd + pm.rev});
+    }
+    return Graph::from_adjacency(std::move(adj), vwgt, /*directed=*/false);
+  }
+
+  /// The window graph induced on the active vertices (ascending ids).
+  Graph window_graph(std::vector<Vertex>& active) const {
+    active.clear();
+    std::map<Vertex, Vertex> local;
+    std::vector<Weight> vw;
+    for (const auto& [v, w] : window_activity) {
+      local[v] = active.size();
+      active.push_back(v);
+      vw.push_back(w);
+    }
+    std::vector<std::vector<Arc>> adj(active.size());
+    for (const auto& [key, w] : window) {
+      if (key.first == key.second || !local.count(key.first) ||
+          !local.count(key.second))
+        continue;
+      adj[local[key.first]].push_back(Arc{local[key.second], w});
+      adj[local[key.second]].push_back(Arc{local[key.first], w});
+    }
+    return Graph::from_adjacency(std::move(adj), std::move(vw),
+                                 /*directed=*/false);
+  }
+};
+
+void expect_matches_model(const GraphBuilder& b, const BuilderModel& m) {
+  const Vertex n = m.vwgt.size();
+  ASSERT_EQ(b.num_vertices(), n);
+  EXPECT_EQ(b.num_pairs(), m.pairs.size());
+  EXPECT_EQ(b.num_edges(), m.directed_edges);
+  EXPECT_EQ(b.num_undirected_edges(), m.undirected_edges());
+  EXPECT_EQ(b.total_edge_weight(), m.total);
+  for (Vertex u = 0; u < n; ++u) {
+    for (Vertex v = 0; v < n; ++v) {
+      ASSERT_EQ(b.edge_weight(u, v), m.weight(u, v)) << u << "->" << v;
+      ASSERT_EQ(b.has_edge(u, v), m.weight(u, v) > 0) << u << "->" << v;
+    }
+    const std::vector<Vertex> expected = m.neighbors(u);
+    ASSERT_EQ(neighbors_of(b, u), expected) << "vertex " << u;
+    ASSERT_EQ(b.undirected_degree(u), expected.size()) << "vertex " << u;
+  }
+  EXPECT_EQ(b.build_directed(), m.directed());
+  EXPECT_EQ(b.build_undirected(), m.undirected());
+
+  std::vector<Vertex> active;
+  std::vector<Vertex> scratch;
+  std::vector<Vertex> expected_active;
+  EXPECT_EQ(b.build_window(active, scratch), m.window_graph(expected_active));
+  EXPECT_EQ(active, expected_active);
+  for (Vertex v : scratch) EXPECT_EQ(v, Graph::kInvalid);
+}
+
+TEST(GraphBuilder, MatchesMapModelAcrossGrowthAndWindowResets) {
+  constexpr Vertex kN = 64;
+  util::Rng rng(2024);
+  GraphBuilder b;
+  BuilderModel m;
+  b.ensure_vertices(kN);
+  m.vwgt.assign(kN, 1);
+
+  auto add_window_weight = [&](Vertex v, Weight w) {
+    b.add_window_weight(v, w);
+    m.window_activity[v] += w;
+  };
+
+  for (int i = 0; i < 4000; ++i) {
+    const Vertex u = rng.uniform(kN);
+    const Vertex v = rng.uniform(16) == 0 ? u : rng.uniform(kN);
+    const Weight w = 1 + rng.uniform(3);
+
+    const auto key = std::minmax(u, v);
+    const auto [it, fresh] =
+        m.pairs.try_emplace(key, PairModel{0, 0, m.pairs.size()});
+    Weight& dir = u == key.first ? it->second.fwd : it->second.rev;
+    const bool new_directed = dir == 0;
+    dir += w;
+    m.directed_edges += new_directed;
+    m.total += w;
+    m.window[key] += w;
+
+    const EdgeInsert ins = b.add_edge(u, v, w);
+    ASSERT_EQ(ins.new_directed_edge, new_directed) << "call " << i;
+    ASSERT_EQ(ins.new_undirected_edge, fresh && u != v) << "call " << i;
+
+    // Usually both endpoints gain window activity, as in the simulator;
+    // sometimes neither (their edge leaves the window snapshot), and now
+    // and then a bystander does (an isolated active vertex).
+    if (rng.uniform(10) != 0) {
+      add_window_weight(u, w);
+      if (v != u) add_window_weight(v, w);
+    }
+    if (rng.uniform(20) == 0) add_window_weight(rng.uniform(kN), 1);
+    if (rng.uniform(50) == 0) {
+      const Vertex x = rng.uniform(kN);
+      b.add_vertex_weight(x, 2);
+      m.vwgt[x] += 2;
+    }
+
+    if ((i + 1) % 700 == 0) {
+      expect_matches_model(b, m);
+      b.reset_window();
+      m.window.clear();
+      m.window_activity.clear();
+    }
+  }
+  expect_matches_model(b, m);
+  // The pair index starts at 64 SlotMap slots and doubles past 7/8 load,
+  // so more than 448 pairs means at least three growths (64 → 512).
+  EXPECT_GT(b.num_pairs(), 448u);
 }
 
 TEST(GraphBuilder, InducedMatchesWholeGraphInduced) {
@@ -172,14 +333,19 @@ TEST(GraphBuilder, InducedMatchesWholeGraphInduced) {
     b.add_edge(rng.uniform(30), rng.uniform(30), 1 + rng.uniform(5));
   std::vector<Vertex> keep;
   for (Vertex v = 0; v < 30; v += 2) keep.push_back(v);
+  // Without a reset the window holds every edge, so activity on `keep`
+  // makes the window snapshot the whole graph induced on `keep`.
+  for (Vertex v : keep) b.add_window_weight(v, 1);
 
+  std::vector<Vertex> active;
   std::vector<Vertex> scratch;  // grown on demand
-  const Graph direct = b.build_undirected_induced(keep, scratch);
+  const Graph direct = b.build_window(active, scratch);
   const Graph via_snapshot = b.build_undirected().induced_subgraph(keep);
+  EXPECT_EQ(active, keep);
   EXPECT_EQ(direct, via_snapshot);
   // The scratch contract: restored to all-kInvalid for the next call.
   for (Vertex v : scratch) EXPECT_EQ(v, Graph::kInvalid);
-  EXPECT_EQ(b.build_undirected_induced(keep, scratch), via_snapshot);
+  EXPECT_EQ(b.build_window(active, scratch), via_snapshot);
 }
 
 TEST(GraphBuilder, InducedRejectsDirtyScratch) {
@@ -188,9 +354,11 @@ TEST(GraphBuilder, InducedRejectsDirtyScratch) {
   b.add_edge(0, 1);
   std::vector<Vertex> scratch(3, Graph::kInvalid);
   scratch[2] = 0;  // stale mapping from a buggy caller
-  const std::vector<Vertex> keep = {1, 2};
-  EXPECT_THROW(b.build_undirected_induced(keep, scratch),
-               util::CheckFailure);
+  // The window's active vertices are {1, 2}.
+  b.add_window_weight(1, 1);
+  b.add_window_weight(2, 1);
+  std::vector<Vertex> active;
+  EXPECT_THROW(b.build_window(active, scratch), util::CheckFailure);
 }
 
 TEST(GraphBuilder, ResetEdgesKeepsVerticesDropsEdges) {
@@ -198,18 +366,31 @@ TEST(GraphBuilder, ResetEdgesKeepsVerticesDropsEdges) {
   b.ensure_vertices(3, 5);
   b.add_edge(0, 1, 2);
   b.add_edge(1, 2, 3);
-  b.reset_edges(/*default_vertex_weight=*/0);
+  for (Vertex v = 0; v < 3; ++v) b.add_window_weight(v, 5);
+  b.reset_window();
+  std::vector<Vertex> active;
+  std::vector<Vertex> scratch;
+  const Graph window = b.build_window(active, scratch);
   EXPECT_EQ(b.num_vertices(), 3u);
-  EXPECT_EQ(b.num_edges(), 0u);
-  EXPECT_EQ(b.num_undirected_edges(), 0u);
-  EXPECT_EQ(b.total_edge_weight(), 0u);
-  EXPECT_EQ(b.vertex_weight(1), 0u);
-  EXPECT_EQ(b.undirected_neighbors(1).size(), 0u);
-  // The builder is fully reusable after a reset.
+  EXPECT_EQ(window.num_edges(), 0u);
+  EXPECT_EQ(window.total_edge_weight(), 0u);
+  // No vertex keeps window activity, so none (vertex 1 included) is in
+  // the window snapshot.
+  EXPECT_EQ(window.num_vertices(), 0u);
+  EXPECT_TRUE(active.empty());
+  // The whole graph keeps its edges and vertex weights.
+  EXPECT_EQ(b.num_undirected_edges(), 2u);
+  EXPECT_EQ(b.vertex_weight(1), 5u);
+  EXPECT_EQ(neighbors_of(b, 1).size(), 2u);
+  // The window is fully reusable after a reset.
   b.add_edge(2, 0, 7);
-  EXPECT_EQ(b.num_edges(), 1u);
+  b.add_window_weight(2, 1);
+  b.add_window_weight(0, 1);
+  const Graph next = b.build_window(active, scratch);
+  EXPECT_EQ(next.num_edges(), 1u);
+  ASSERT_EQ(next.neighbors(1).size(), 1u);  // local 1 = vertex 2
+  EXPECT_EQ(next.neighbors(1)[0].weight, 7u);
   EXPECT_EQ(b.edge_weight(2, 0), 7u);
-  EXPECT_EQ(b.build_undirected().num_edges(), 1u);
 }
 
 // ------------------------------------------------------------------ CSR

@@ -30,6 +30,16 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 set(WORKLOAD --preset paper --scale 0.02 --seed 5 --method Hashing
     --shards 4)
 
+# Under AddressSanitizer the allocator's quarantine (256 MB by default)
+# keeps freed blocks resident, which hides what streaming frees. The
+# children this script starts run with the quarantine off; the inherited
+# ASAN_OPTIONS are kept, and a build without ASan ignores the variable.
+if("$ENV{ASAN_OPTIONS}" STREQUAL "")
+  set(ENV{ASAN_OPTIONS} "quarantine_size_mb=0")
+else()
+  set(ENV{ASAN_OPTIONS} "$ENV{ASAN_OPTIONS}:quarantine_size_mb=0")
+endif()
+
 # Runs `ethshard simulate --verdict-out` and parses the rss_budget
 # verdict: ${outvar} gets the observed peak (integer MiB), ${outvar}_rc
 # the exit code, ${outvar}_pass the verdict's pass flag, ${outvar}_out

@@ -640,12 +640,18 @@ TEST(Check, MessageIsIncluded) {
 
 TEST(SlotMap, InsertThenLookup) {
   SlotMap m;
+  EXPECT_EQ(m.find(42), nullptr);
   auto [v1, fresh1] = m.try_emplace(42, 7);
   EXPECT_TRUE(fresh1);
   EXPECT_EQ(v1, 7u);
   auto [v2, fresh2] = m.try_emplace(42, 99);
   EXPECT_FALSE(fresh2);   // key already present: value untouched
   EXPECT_EQ(v2, 7u);
+  EXPECT_EQ(m.size(), 1u);
+  const SlotMap& view = m;  // find is const and does not insert
+  ASSERT_NE(view.find(42), nullptr);
+  EXPECT_EQ(*view.find(42), 7u);
+  EXPECT_EQ(view.find(43), nullptr);
   EXPECT_EQ(m.size(), 1u);
 }
 
@@ -662,6 +668,7 @@ TEST(SlotMap, ClearForgetsEverythingButKeepsCapacity) {
   m.clear();
   EXPECT_EQ(m.size(), 0u);
   EXPECT_EQ(m.capacity(), cap);
+  for (std::uint64_t k = 0; k < 10; ++k) EXPECT_EQ(m.find(k), nullptr);
   // Every key reads as absent again (fresh insert succeeds).
   for (std::uint64_t k = 0; k < 10; ++k)
     EXPECT_TRUE(m.try_emplace(k, 2).second);
@@ -676,6 +683,9 @@ TEST(SlotMap, GrowthPreservesLiveEntries) {
                     .second);
   EXPECT_EQ(m.size(), kKeys);
   for (std::uint64_t k = 0; k < kKeys; ++k) {
+    const std::uint32_t* found = m.find(k * 0x9e3779b97f4a7c15ULL);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, static_cast<std::uint32_t>(k));
     auto [v, fresh] = m.try_emplace(k * 0x9e3779b97f4a7c15ULL, 0);
     EXPECT_FALSE(fresh);
     EXPECT_EQ(v, static_cast<std::uint32_t>(k));
