@@ -4,49 +4,6 @@
 
 namespace ethshard::eth {
 
-namespace {
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-}  // namespace
-
-Address Address::from_id(AccountId id) {
-  Keccak256 h;
-  h.update_u64(id);
-  const Hash256 digest = h.finalize();
-  Address a;
-  // Low 20 bytes of the digest, as Ethereum does for contract addresses.
-  for (std::size_t i = 0; i < 20; ++i) a.bytes_[i] = digest[12 + i];
-  return a;
-}
-
-Address Address::from_hex(std::string_view hex) {
-  if (hex.substr(0, 2) == "0x" || hex.substr(0, 2) == "0X") hex.remove_prefix(2);
-  ETHSHARD_CHECK_MSG(hex.size() == 40, "expected 40 hex chars");
-  Address a;
-  for (std::size_t i = 0; i < 20; ++i) {
-    const int hi = hex_digit(hex[2 * i]);
-    const int lo = hex_digit(hex[2 * i + 1]);
-    ETHSHARD_CHECK_MSG(hi >= 0 && lo >= 0, "invalid hex digit");
-    a.bytes_[i] = static_cast<std::uint8_t>((hi << 4) | lo);
-  }
-  return a;
-}
-
-std::string Address::to_hex() const {
-  static const char* digits = "0123456789abcdef";
-  std::string out = "0x";
-  out.reserve(42);
-  for (std::uint8_t b : bytes_) {
-    out += digits[b >> 4];
-    out += digits[b & 0xF];
-  }
-  return out;
-}
-
 AccountId AccountRegistry::create(AccountKind kind,
                                   util::Timestamp created_at,
                                   std::uint64_t storage_slots,

@@ -1,49 +1,19 @@
-// Ethereum-style 20-byte account addresses and the account registry.
+// Account identities and the account registry.
 //
 // Vertices in the blockchain graph are accounts (externally owned) and
-// smart contracts (§II-B). Internally the library works with dense
-// uint64 vertex ids; Address provides the realistic on-chain identity and
-// is derived deterministically from the id via Keccak-256, mirroring how
-// Ethereum derives contract addresses from (sender, nonce).
+// smart contracts (§II-B). The library identifies both by dense uint64
+// ids, which double as graph vertex ids.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "eth/keccak.hpp"
 #include "util/sim_time.hpp"
 
 namespace ethshard::eth {
 
 /// Dense vertex/account identifier used throughout the library.
 using AccountId = std::uint64_t;
-
-/// A 20-byte Ethereum address.
-class Address {
- public:
-  Address() = default;
-
-  /// Derives the address for an account id: the low 20 bytes of
-  /// keccak256(le64(id)), as Ethereum takes the low 20 bytes of
-  /// keccak256(rlp(sender, nonce)).
-  static Address from_id(AccountId id);
-
-  /// Parses "0x"-prefixed or bare 40-hex-char form.
-  static Address from_hex(std::string_view hex);
-
-  const std::array<std::uint8_t, 20>& bytes() const { return bytes_; }
-
-  /// Lower-case "0x"-prefixed hex form.
-  std::string to_hex() const;
-
-  friend bool operator==(const Address&, const Address&) = default;
-  friend auto operator<=>(const Address&, const Address&) = default;
-
- private:
-  std::array<std::uint8_t, 20> bytes_{};
-};
 
 /// Whether the account is a user key pair or deployed code.
 enum class AccountKind : std::uint8_t {

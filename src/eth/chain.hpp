@@ -15,8 +15,8 @@ namespace ethshard::eth {
 ///  * block numbers are consecutive starting at 0 (genesis);
 ///  * timestamps are non-decreasing.
 ///
-/// Blocks are not hash-linked: no replay metric reads a block hash, so
-/// the chain never computes one and ignores Block::parent_hash.
+/// Number and timestamp order are the whole link between blocks: no
+/// replay metric reads a block hash, so blocks carry none.
 class Chain {
  public:
   /// Appends a block after checking its number and timestamp. Throws

@@ -16,20 +16,4 @@ bool Transaction::well_formed() const {
   return true;
 }
 
-Hash256 Transaction::hash() const {
-  Keccak256 h;
-  h.update_u64(sender);
-  h.update_u64(nonce);
-  h.update_u64(gas_limit);
-  h.update_u64(gas_price);
-  h.update_u64(calls.size());
-  for (const Call& c : calls) {
-    h.update_u64(c.from);
-    h.update_u64(c.to);
-    h.update_u64(static_cast<std::uint64_t>(c.kind));
-    h.update_u64(c.value_wei);
-  }
-  return h.finalize();
-}
-
 }  // namespace ethshard::eth

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "eth/address.hpp"
-#include "eth/keccak.hpp"
 #include "util/sim_time.hpp"
 
 namespace ethshard::eth {
@@ -51,8 +50,7 @@ struct Transaction {
   /// cannot act before being entered.
   bool well_formed() const;
 
-  /// Keccak-256 over all fields; stable across runs.
-  Hash256 hash() const;
+  friend bool operator==(const Transaction&, const Transaction&) = default;
 };
 
 }  // namespace ethshard::eth

@@ -155,7 +155,7 @@ void write_trace_json(std::ostream& out, const TraceSnapshot& snapshot) {
     std::string json;
   };
   std::vector<Rendered> events;
-  events.reserve(snapshot.spans.size() + snapshot.counters.size() + 1);
+  events.reserve(snapshot.spans.size() + 1);
 
   for (const SpanRecord& s : snapshot.spans) {
     std::string json = "  {\"name\": \"" + json_escape(s.path) +
@@ -166,30 +166,18 @@ void write_trace_json(std::ostream& out, const TraceSnapshot& snapshot) {
                        "}";
     events.push_back({s.start_ms, std::move(json)});
   }
-  for (const CounterRecord& c : snapshot.counters) {
-    std::string json = "  {\"name\": \"" + json_escape(c.name) +
-                       "\", \"ph\": \"C\", \"ts\": " +
-                       json_double(c.ts_ms * 1000.0) +
-                       ", \"pid\": 0, \"args\": {\"value\": " +
-                       json_double(c.value) + "}}";
-    events.push_back({c.ts_ms, std::move(json)});
-  }
-  if (snapshot.dropped_spans > 0 || snapshot.dropped_counters > 0) {
+  if (snapshot.dropped_spans > 0) {
     // A global instant at the end of the timeline flags the truncation
     // right in the viewer, mirroring the trace/dropped_spans counter.
     double end_ms = 0;
     for (const SpanRecord& s : snapshot.spans)
       end_ms = std::max(end_ms, s.start_ms + s.duration_ms);
-    for (const CounterRecord& c : snapshot.counters)
-      end_ms = std::max(end_ms, c.ts_ms);
     std::string json =
         "  {\"name\": \"trace_truncated\", \"ph\": \"i\", \"ts\": " +
         json_double(end_ms * 1000.0) +
         ", \"s\": \"g\", \"pid\": 0, \"tid\": 0, "
         "\"args\": {\"dropped_spans\": " +
-        std::to_string(snapshot.dropped_spans) +
-        ", \"dropped_counters\": " +
-        std::to_string(snapshot.dropped_counters) + "}}";
+        std::to_string(snapshot.dropped_spans) + "}}";
     events.push_back({end_ms, std::move(json)});
   }
   std::stable_sort(events.begin(), events.end(),

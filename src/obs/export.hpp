@@ -31,10 +31,9 @@ void write_trace_json(std::ostream& out,
 
 /// Full-fidelity Chrome trace: "M" thread_name metadata rows name the
 /// lanes (e.g. "pool-worker-N"), "X" duration events carry the spans,
-/// "C" events draw the counter tracks, and a global "i" instant marks
-/// truncation when spans or counters were dropped. Events are emitted one
-/// per line, sorted by timestamp (metadata first), so downstream line
-/// scanners stay simple.
+/// and a global "i" instant marks truncation when spans were dropped.
+/// Events are emitted one per line, sorted by timestamp (metadata
+/// first), so downstream line scanners stay simple.
 void write_trace_json(std::ostream& out, const TraceSnapshot& snapshot);
 
 /// File conveniences; throw util::CheckFailure if the file cannot open.

@@ -64,15 +64,6 @@ void TraceBuffer::record(SpanRecord span) {
   spans_.push_back(std::move(span));
 }
 
-void TraceBuffer::record_counter(CounterRecord sample) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (max_spans_ != 0 && counters_.size() >= max_spans_) {
-    ++dropped_counters_;
-    return;
-  }
-  counters_.push_back(std::move(sample));
-}
-
 void TraceBuffer::set_thread_lane(std::uint32_t ordinal, std::string name) {
   const std::lock_guard<std::mutex> lock(mu_);
   lanes_[ordinal] = std::move(name);
@@ -87,20 +78,16 @@ TraceSnapshot TraceBuffer::trace_snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   TraceSnapshot snap;
   snap.spans = spans_;
-  snap.counters = counters_;
   snap.lanes = lanes_;
   snap.dropped_spans = dropped_;
-  snap.dropped_counters = dropped_counters_;
   return snap;
 }
 
 void TraceBuffer::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-  counters_.clear();
   lanes_.clear();
   dropped_ = 0;
-  dropped_counters_ = 0;
 }
 
 std::size_t TraceBuffer::size() const {
@@ -128,26 +115,6 @@ std::uint32_t current_thread_ordinal() { return thread_ordinal(); }
 void set_current_thread_lane(const char* name) {
   if (!trace_enabled()) return;
   TraceBuffer::global().set_thread_lane(thread_ordinal(), name);
-}
-
-void record_span(const char* path, double start_ms, double end_ms) {
-  if (!trace_enabled()) return;
-  SpanRecord span;
-  span.path = path;
-  span.start_ms = start_ms;
-  span.duration_ms = end_ms - start_ms;
-  span.thread = thread_ordinal();
-  span.depth = static_cast<std::uint32_t>(span_stack().size());
-  TraceBuffer::global().record(std::move(span));
-}
-
-void record_counter_sample(const char* name, double value) {
-  if (!trace_enabled()) return;
-  CounterRecord sample;
-  sample.name = name;
-  sample.ts_ms = trace_now_ms();
-  sample.value = value;
-  TraceBuffer::global().record_counter(std::move(sample));
 }
 
 ScopedSpan::ScopedSpan(const char* name) : active_(trace_enabled()) {

@@ -36,24 +36,13 @@ struct SpanRecord {
   std::uint32_t depth = 0;
 };
 
-/// One sample on a named counter track (a queue depth, a running count).
-/// Exported as a Chrome "C" event, so the viewer draws the series as a
-/// step graph under the timeline lanes.
-struct CounterRecord {
-  std::string name;
-  double ts_ms = 0;
-  double value = 0;
-};
-
-/// Everything the buffer holds, copied atomically: spans, counter samples,
-/// the thread-ordinal -> lane-name map, and the drop counts (nonzero means
+/// Everything the buffer holds, copied atomically: spans, the
+/// thread-ordinal -> lane-name map, and the drop count (nonzero means
 /// the exported trace is a truncated prefix, not the full run).
 struct TraceSnapshot {
   std::vector<SpanRecord> spans;
-  std::vector<CounterRecord> counters;
   std::map<std::uint32_t, std::string> lanes;
   std::uint64_t dropped_spans = 0;
-  std::uint64_t dropped_counters = 0;
 };
 
 /// Process-wide store of completed spans. Growth is bounded: once
@@ -69,23 +58,19 @@ class TraceBuffer {
   static TraceBuffer& global();
 
   void record(SpanRecord span);
-  /// Records one counter-track sample. The span cap value applies to the
-  /// counter store as its own budget (an unbounded sampler must not grow
-  /// past what the span side is allowed).
-  void record_counter(CounterRecord sample);
   /// Names the timeline lane for a thread ordinal ("pool-worker-1").
   /// Last writer wins; unnamed lanes export as bare thread numbers.
   void set_thread_lane(std::uint32_t ordinal, std::string name);
 
   /// Copy of every span recorded so far, in completion order.
   std::vector<SpanRecord> snapshot() const;
-  /// Spans + counters + lane names + drop counts in one consistent copy.
+  /// Spans + lane names + drop count in one consistent copy.
   TraceSnapshot trace_snapshot() const;
-  /// Drops buffered spans/counters/lanes and resets the drop counters.
+  /// Drops buffered spans and lanes and resets the drop count.
   void clear();
   std::size_t size() const;
 
-  /// Buffered-span cap (applied to counters too); 0 means unlimited.
+  /// Span buffer cap; 0 means unlimited.
   void set_max_spans(std::size_t cap);
   std::size_t max_spans() const;
   /// Spans rejected because the buffer was full (since the last clear).
@@ -94,11 +79,9 @@ class TraceBuffer {
  private:
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
-  std::vector<CounterRecord> counters_;
   std::map<std::uint32_t, std::string> lanes_;
   std::size_t max_spans_ = kDefaultMaxSpans;
   std::uint64_t dropped_ = 0;
-  std::uint64_t dropped_counters_ = 0;
 };
 
 /// RAII span. `name` must outlive the span (string literals in practice).
@@ -126,15 +109,5 @@ std::uint32_t current_thread_ordinal();
 /// Names the calling thread's timeline lane in the global buffer. No-op
 /// when tracing is disabled. `name` is copied.
 void set_current_thread_lane(const char* name);
-
-/// Records an already-timed interval on the calling thread's lane —
-/// for retroactive spans (a stall measured as now - wait) where RAII
-/// scoping is impossible. `path` is recorded verbatim (no nesting under
-/// the thread's open ScopedSpans). No-op when tracing is disabled.
-void record_span(const char* path, double start_ms, double end_ms);
-
-/// Records one sample on a counter track, stamped with the current trace
-/// clock. No-op when tracing is disabled.
-void record_counter_sample(const char* name, double value);
 
 }  // namespace ethshard::obs

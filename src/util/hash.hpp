@@ -1,9 +1,9 @@
 // Non-cryptographic hashing utilities.
 //
 // These back the Hashing partitioner (the paper's baseline shard(v) =
-// hash(id(v)) mod k) and hash-combining for composite keys. Keccak-256,
-// the cryptographic hash used by the blockchain substrate, lives in
-// eth/keccak.hpp.
+// hash(id(v)) mod k) and hash-combining for composite keys. Nothing in
+// the library needs a cryptographic hash: blocks and transactions are
+// compared by value, not by digest.
 #pragma once
 
 #include <cstdint>

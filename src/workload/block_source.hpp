@@ -10,9 +10,8 @@
 //
 // Contract (every implementation):
 //  * blocks arrive in chain order — consecutive numbers from 0 and
-//    non-decreasing timestamps. Blocks are not hash-linked: no source
-//    computes a block hash or sets parent_hash, and no consumer reads
-//    either;
+//    non-decreasing timestamps; blocks carry no hash or parent link,
+//    so number and timestamp order are all a consumer may rely on;
 //  * the stream is single-pass: next() after end-of-stream keeps
 //    returning false; there is no rewind (re-open through a
 //    BlockSourceFactory instead);

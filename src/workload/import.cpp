@@ -169,8 +169,20 @@ ImportResult import_bigquery_traces(std::istream& in) {
     }
 
     if (!block_open || block_number != source_block) {
-      ETHSHARD_CHECK_MSG(!block_open || block_number > source_block,
-                         "traces CSV is not sorted by block_number");
+      // Both order checks run on the row that opens a block, so the
+      // error names that row instead of surfacing in Chain::append.
+      if (block_open) {
+        ETHSHARD_CHECK_MSG(block_number > source_block,
+                           "traces CSV line "
+                               << reader.line() << ": block_number "
+                               << block_number << " after " << source_block
+                               << ", rows are not sorted by block_number");
+        ETHSHARD_CHECK_MSG(ts >= block.timestamp,
+                           "traces CSV line "
+                               << reader.line() << ": block " << block_number
+                               << " has timestamp " << ts << ", before block "
+                               << source_block << "'s " << block.timestamp);
+      }
       close_block();
       source_block = block_number;
       block.timestamp = ts;

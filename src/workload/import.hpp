@@ -12,7 +12,8 @@
 // Accepted columns (located by header name, extra columns ignored):
 //   block_number       integer, rows must be grouped by block and
 //                      non-decreasing
-//   block_timestamp    unix seconds, or "YYYY-MM-DD HH:MM:SS[ UTC]"
+//   block_timestamp    unix seconds, or "YYYY-MM-DD HH:MM:SS[ UTC]";
+//                      non-decreasing from block to block
 //   transaction_hash   groups rows into transactions (empty → own tx)
 //   from_address       0x-hex or empty (empty/invalid rows are skipped)
 //   to_address         0x-hex; empty for some creates (then skipped
@@ -45,8 +46,9 @@ struct ImportResult {
 };
 
 /// Parses a BigQuery-style traces CSV. Throws util::CheckFailure on a
-/// missing required column or out-of-order blocks; malformed rows are
-/// counted in stats.skipped_rows and dropped.
+/// missing required column, or on a block whose number or timestamp is
+/// below the previous block's (the message starts "traces CSV line N:");
+/// malformed rows are counted in stats.skipped_rows and dropped.
 ImportResult import_bigquery_traces(std::istream& in);
 
 /// File convenience; throws util::CheckFailure if the file cannot open.

@@ -1,5 +1,6 @@
 # End-to-end smoke test of the ethshard CLI, run by ctest:
-#   generate -> stats -> simulate (+ csv) -> partition -> dot -> import.
+#   generate -> stats -> simulate (+ csv) -> partition -> dot -> import,
+#   then the --help and unknown-method exits.
 # Usage: cmake -DCLI=<path-to-ethshard> -DWORKDIR=<scratch> [-DOBS=ON|OFF]
 #        -P cli_smoke.cmake
 # OBS says whether the observability layer is compiled in (default ON);
@@ -161,6 +162,25 @@ set(METIS_PART "${WORKDIR}/graph.part")
 file(WRITE ${METIS_PART} "${part_content}")
 run_cli("communication volume: 0" metis-eval --trace ${TRACE}
         --part ${METIS_PART} --shards 2)
+
+# `<command> --help` prints the usage with usage's exit code 2 and runs
+# nothing: it writes no --csv file.
+set(HELP_CSV "${WORKDIR}/help_windows.csv")
+file(REMOVE ${HELP_CSV})
+execute_process(
+  COMMAND ${CLI} simulate --help --csv ${HELP_CSV}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "simulate --help: rc=${rc}, want 2:\n${err}")
+endif()
+if(NOT err MATCHES "usage: ethshard")
+  message(FATAL_ERROR "simulate --help printed no usage, stderr:\n${err}")
+endif()
+if(EXISTS ${HELP_CSV})
+  message(FATAL_ERROR "simulate --help ran a simulation: wrote ${HELP_CSV}")
+endif()
 
 # Unknown method must fail cleanly.
 execute_process(

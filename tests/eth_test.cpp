@@ -1,250 +1,17 @@
-// Unit tests for the blockchain substrate: Keccak-256 vectors, addresses,
-// transactions, block hashing, chain linkage and validation.
+// Unit tests for the blockchain data model: the account registry,
+// transactions, block equality, chain ordering and validation.
 #include <gtest/gtest.h>
-
-#include <functional>
 
 #include "eth/address.hpp"
 #include "eth/block.hpp"
 #include "eth/chain.hpp"
-#include "eth/keccak.hpp"
-#include "eth/rlp.hpp"
 #include "eth/transaction.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace ethshard::eth {
 namespace {
 
-// ---------------------------------------------------------------- keccak
-
-TEST(Keccak, EmptyStringVector) {
-  // Published Keccak-256 (pre-NIST padding) vector; this is the digest
-  // Ethereum uses for the empty string.
-  EXPECT_EQ(to_hex(keccak256("")),
-            "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470");
-}
-
-TEST(Keccak, AbcVector) {
-  EXPECT_EQ(to_hex(keccak256("abc")),
-            "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45");
-}
-
-TEST(Keccak, LongMessageVector) {
-  // "The quick brown fox jumps over the lazy dog"
-  EXPECT_EQ(to_hex(keccak256("The quick brown fox jumps over the lazy dog")),
-            "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15");
-}
-
-TEST(Keccak, MultiBlockMessage) {
-  // Message longer than the 136-byte rate exercises multi-block absorb.
-  const std::string msg(1000, 'a');
-  const Hash256 one_shot = keccak256(msg);
-  Keccak256 incremental;
-  for (std::size_t i = 0; i < msg.size(); i += 7)
-    incremental.update(msg.substr(i, 7));
-  EXPECT_EQ(one_shot, incremental.finalize());
-}
-
-TEST(Keccak, RateBoundaryLengths) {
-  // Lengths straddling the 136-byte rate: padding edge cases.
-  for (std::size_t len : {135u, 136u, 137u, 271u, 272u, 273u}) {
-    const std::string msg(len, 'x');
-    Keccak256 a;
-    a.update(msg);
-    Keccak256 b;
-    b.update(msg.substr(0, len / 2));
-    b.update(msg.substr(len / 2));
-    EXPECT_EQ(a.finalize(), b.finalize()) << "len=" << len;
-  }
-}
-
-TEST(Keccak, DifferentInputsDifferentDigests) {
-  EXPECT_NE(keccak256("a"), keccak256("b"));
-  EXPECT_NE(keccak256(""), keccak256(std::string(1, '\0')));
-}
-
-TEST(Keccak, HexRoundTrip) {
-  const Hash256 h = keccak256("roundtrip");
-  EXPECT_EQ(hash_from_hex(to_hex(h)), h);
-  EXPECT_EQ(hash_from_hex("0x" + to_hex(h)), h);
-}
-
-TEST(Keccak, HexRejectsMalformed) {
-  EXPECT_THROW(hash_from_hex("abc"), util::CheckFailure);
-  EXPECT_THROW(hash_from_hex(std::string(64, 'g')), util::CheckFailure);
-}
-
-TEST(Keccak, PrefixU64BigEndian) {
-  Hash256 h{};
-  h[0] = 0x01;
-  h[7] = 0xFF;
-  EXPECT_EQ(hash_prefix_u64(h), 0x01000000000000FFULL);
-}
-
-TEST(Keccak, FinalizeTwiceThrows) {
-  Keccak256 h;
-  h.update("x");
-  h.finalize();
-  EXPECT_THROW(h.finalize(), util::CheckFailure);
-}
-
-// ------------------------------------------------------------------- rlp
-
-using rlp::Bytes;
-using rlp::Item;
-
-Bytes bytes_of(std::initializer_list<int> xs) {
-  Bytes b;
-  for (int x : xs) b.push_back(static_cast<std::uint8_t>(x));
-  return b;
-}
-
-TEST(Rlp, YellowPaperStringVectors) {
-  // rlp("dog") = [0x83, 'd', 'o', 'g']
-  EXPECT_EQ(rlp::encode_string("dog"),
-            bytes_of({0x83, 'd', 'o', 'g'}));
-  // rlp("") = [0x80]
-  EXPECT_EQ(rlp::encode_string(""), bytes_of({0x80}));
-  // Single byte below 0x80 encodes itself.
-  EXPECT_EQ(rlp::encode_string("\x0f"), bytes_of({0x0f}));
-  EXPECT_EQ(rlp::encode_string("a"), bytes_of({'a'}));
-}
-
-TEST(Rlp, YellowPaperIntegerVectors) {
-  EXPECT_EQ(rlp::encode_integer(0), bytes_of({0x80}));
-  EXPECT_EQ(rlp::encode_integer(15), bytes_of({0x0f}));
-  // rlp(1024) = [0x82, 0x04, 0x00]
-  EXPECT_EQ(rlp::encode_integer(1024), bytes_of({0x82, 0x04, 0x00}));
-}
-
-TEST(Rlp, YellowPaperListVectors) {
-  // rlp(["cat","dog"]) = [0xc8, 0x83,'c','a','t', 0x83,'d','o','g']
-  const Item cat_dog =
-      Item::list({Item::string("cat"), Item::string("dog")});
-  EXPECT_EQ(rlp::encode(cat_dog),
-            bytes_of({0xc8, 0x83, 'c', 'a', 't', 0x83, 'd', 'o', 'g'}));
-  // rlp([]) = [0xc0]
-  EXPECT_EQ(rlp::encode(Item::list({})), bytes_of({0xc0}));
-  // The "set-theoretic three": [ [], [[]], [ [], [[]] ] ]
-  const Item empty = Item::list({});
-  const Item nested = Item::list({empty});
-  const Item three = Item::list({empty, nested, Item::list({empty, nested})});
-  EXPECT_EQ(rlp::encode(three),
-            bytes_of({0xc7, 0xc0, 0xc1, 0xc0, 0xc3, 0xc0, 0xc1, 0xc0}));
-}
-
-TEST(Rlp, LongStringUsesLengthOfLength) {
-  // 56-byte string: 0xb8 0x38 <payload>.
-  const std::string s(56, 'x');
-  const Bytes enc = rlp::encode_string(s);
-  ASSERT_EQ(enc.size(), 58u);
-  EXPECT_EQ(enc[0], 0xb8);
-  EXPECT_EQ(enc[1], 56);
-}
-
-TEST(Rlp, RoundTripNestedStructures) {
-  const Item item = Item::list(
-      {Item::integer(0), Item::integer(1024), Item::string("hello rlp"),
-       Item::list({Item::string(std::string(100, 'y')),
-                   Item::list({}), Item::integer(255)})});
-  EXPECT_EQ(rlp::decode(rlp::encode(item)), item);
-}
-
-TEST(Rlp, IntegerRoundTrip) {
-  for (std::uint64_t v :
-       {0ULL, 1ULL, 127ULL, 128ULL, 255ULL, 256ULL, 1024ULL,
-        0xDEADBEEFULL, ~0ULL}) {
-    EXPECT_EQ(rlp::decode(rlp::encode_integer(v)).to_integer(), v);
-  }
-}
-
-TEST(Rlp, DecodeRejectsTrailingBytes) {
-  Bytes enc = rlp::encode_string("dog");
-  enc.push_back(0x00);
-  EXPECT_THROW(rlp::decode(enc), util::CheckFailure);
-}
-
-TEST(Rlp, DecodeRejectsTruncation) {
-  Bytes enc = rlp::encode_string("dog");
-  enc.pop_back();
-  EXPECT_THROW(rlp::decode(enc), util::CheckFailure);
-}
-
-TEST(Rlp, DecodeRejectsNonCanonicalSingleByte) {
-  // 'a' must encode as itself, not as 0x81 0x61.
-  EXPECT_THROW(rlp::decode(bytes_of({0x81, 0x61})), util::CheckFailure);
-}
-
-TEST(Rlp, DecodeRejectsNonMinimalLength) {
-  // Long form with leading zero length byte.
-  Bytes bad = {0xb9, 0x00, 0x38};
-  bad.resize(3 + 56, 'x');
-  EXPECT_THROW(rlp::decode(bad), util::CheckFailure);
-}
-
-TEST(Rlp, ToIntegerRejectsLists) {
-  EXPECT_THROW(Item::list({}).to_integer(), util::CheckFailure);
-}
-
-TEST(Rlp, FuzzDecodeNeverCrashesAndIsCanonical) {
-  // Random byte strings either fail to decode (CheckFailure) or decode to
-  // an item whose re-encoding is byte-identical — the canonical-form
-  // property strict decoding guarantees.
-  ethshard::util::Rng rng(20240705);
-  int decoded_ok = 0;
-  for (int trial = 0; trial < 2000; ++trial) {
-    Bytes bytes(rng.uniform(24));
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform(256));
-    try {
-      const Item item = rlp::decode(bytes);
-      EXPECT_EQ(rlp::encode(item), bytes);
-      ++decoded_ok;
-    } catch (const util::CheckFailure&) {
-      // fine: malformed input must throw, not crash
-    }
-  }
-  EXPECT_GT(decoded_ok, 0);  // single bytes <=0x7f always decode
-}
-
-TEST(Rlp, FuzzEncodeDecodeRandomStructures) {
-  ethshard::util::Rng rng(42);
-  // Random nested items round-trip exactly.
-  std::function<Item(int)> random_item = [&](int depth) -> Item {
-    if (depth >= 3 || rng.bernoulli(0.6)) {
-      Bytes b(rng.uniform(40));
-      for (auto& x : b) x = static_cast<std::uint8_t>(rng.uniform(256));
-      return Item::string(std::move(b));
-    }
-    std::vector<Item> children;
-    const std::uint64_t n = rng.uniform(4);
-    for (std::uint64_t i = 0; i < n; ++i)
-      children.push_back(random_item(depth + 1));
-    return Item::list(std::move(children));
-  };
-  for (int trial = 0; trial < 300; ++trial) {
-    const Item item = random_item(0);
-    EXPECT_EQ(rlp::decode(rlp::encode(item)), item);
-  }
-}
-
-// --------------------------------------------------------------- address
-
-TEST(Address, DerivationIsDeterministic) {
-  EXPECT_EQ(Address::from_id(42), Address::from_id(42));
-  EXPECT_NE(Address::from_id(42), Address::from_id(43));
-}
-
-TEST(Address, HexRoundTrip) {
-  const Address a = Address::from_id(7);
-  EXPECT_EQ(Address::from_hex(a.to_hex()), a);
-  EXPECT_EQ(a.to_hex().size(), 42u);
-  EXPECT_EQ(a.to_hex().substr(0, 2), "0x");
-}
-
-TEST(Address, HexRejectsBadLength) {
-  EXPECT_THROW(Address::from_hex("0x1234"), util::CheckFailure);
-}
+// -------------------------------------------------------------- accounts
 
 TEST(AccountRegistry, DenseIds) {
   AccountRegistry reg;
@@ -307,19 +74,21 @@ TEST(Transaction, InternalCallsMustChainFromTouchedAccounts) {
   EXPECT_FALSE(tx.well_formed());
 }
 
+// Tests compare transactions and blocks by value, so their defaulted
+// equality must cover every field.
 TEST(Transaction, HashCoversCallList) {
   Transaction a = simple_transfer(1, 2);
   Transaction b = simple_transfer(1, 2);
-  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(a, b);
   b.calls[0].value_wei = 101;
-  EXPECT_NE(a.hash(), b.hash());
+  EXPECT_NE(a, b);
 }
 
 TEST(Transaction, HashCoversMetadata) {
   Transaction a = simple_transfer(1, 2);
   Transaction b = a;
   b.nonce = 7;
-  EXPECT_NE(a.hash(), b.hash());
+  EXPECT_NE(a, b);
 }
 
 // ----------------------------------------------------------------- block
@@ -330,17 +99,9 @@ TEST(Block, HashDependsOnTransactions) {
   b1.timestamp = 1000;
   b1.transactions.push_back(simple_transfer(1, 2));
   Block b2 = b1;
-  EXPECT_EQ(b1.hash(), b2.hash());
+  EXPECT_EQ(b1, b2);
   b2.transactions.push_back(simple_transfer(2, 3));
-  EXPECT_NE(b1.hash(), b2.hash());
-}
-
-TEST(Block, HashDependsOnParent) {
-  Block b1;
-  b1.number = 1;
-  Block b2 = b1;
-  b2.parent_hash[0] = 0xFF;
-  EXPECT_NE(b1.hash(), b2.hash());
+  EXPECT_NE(b1, b2);
 }
 
 // ----------------------------------------------------------------- chain

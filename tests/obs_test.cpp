@@ -478,36 +478,15 @@ TEST_F(ObsTest, PoolWorkerSpansNestUnderTheirOwnThread) {
 
 // -------------------------------------------- trace snapshot + exporter
 
-TEST_F(ObsTest, ExplicitSpanAndCounterApisRespectTraceSwitch) {
-  // Off: both record nothing.
-  obs::record_span("pipeline/apply", 1.0, 2.0);
-  obs::record_counter_sample("pipeline/queue_depth", 3.0);
-  EXPECT_EQ(obs::TraceBuffer::global().size(), 0u);
-  EXPECT_TRUE(obs::TraceBuffer::global().trace_snapshot().counters.empty());
-
-  obs::set_trace_enabled(true);
-  obs::record_span("pipeline/apply", 1.0, 2.5);
-  obs::record_counter_sample("pipeline/queue_depth", 3.0);
-  const obs::TraceSnapshot trace =
-      obs::TraceBuffer::global().trace_snapshot();
-  ASSERT_EQ(trace.spans.size(), 1u);
-  EXPECT_EQ(trace.spans[0].path, "pipeline/apply");
-  EXPECT_DOUBLE_EQ(trace.spans[0].start_ms, 1.0);
-  EXPECT_DOUBLE_EQ(trace.spans[0].duration_ms, 1.5);
-  ASSERT_EQ(trace.counters.size(), 1u);
-  EXPECT_EQ(trace.counters[0].name, "pipeline/queue_depth");
-  EXPECT_DOUBLE_EQ(trace.counters[0].value, 3.0);
-}
-
 TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   obs::set_trace_enabled(true);
-  obs::set_current_thread_lane("Stage B (apply+flush)");
-  std::thread producer([] {
-    obs::set_current_thread_lane("Stage A (aggregate)");
-    obs::record_span("pipeline/aggregate", 0.0, 1.0);
+  obs::set_current_thread_lane("main");
+  std::thread worker([] {
+    obs::set_current_thread_lane("pool-worker-1");
+    obs::ScopedSpan span("task");
   });
-  producer.join();
-  obs::record_span("pipeline/apply", 1.0, 2.0);
+  worker.join();
+  { obs::ScopedSpan span("run"); }
 
   const obs::TraceSnapshot trace =
       obs::TraceBuffer::global().trace_snapshot();
@@ -515,46 +494,34 @@ TEST_F(ObsTest, ThreadLanesLandInSnapshotAndExportAsThreadNames) {
   ASSERT_EQ(trace.lanes.size(), 2u);
   // The two spans carry distinct thread ordinals, and each ordinal maps
   // to the lane named on that thread.
-  const obs::SpanRecord* agg = nullptr;
-  const obs::SpanRecord* apply = nullptr;
+  const obs::SpanRecord* task = nullptr;
+  const obs::SpanRecord* run = nullptr;
   for (const obs::SpanRecord& s : trace.spans)
-    (s.path == "pipeline/aggregate" ? agg : apply) = &s;
-  ASSERT_NE(agg, nullptr);
-  ASSERT_NE(apply, nullptr);
-  EXPECT_NE(agg->thread, apply->thread);
-  EXPECT_EQ(trace.lanes.at(agg->thread), "Stage A (aggregate)");
-  EXPECT_EQ(trace.lanes.at(apply->thread), "Stage B (apply+flush)");
+    (s.path == "task" ? task : run) = &s;
+  ASSERT_NE(task, nullptr);
+  ASSERT_NE(run, nullptr);
+  EXPECT_NE(task->thread, run->thread);
+  EXPECT_EQ(trace.lanes.at(task->thread), "pool-worker-1");
+  EXPECT_EQ(trace.lanes.at(run->thread), "main");
 
   std::ostringstream os;
   obs::write_trace_json(os, trace);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"Stage A (aggregate)\""), std::string::npos);
-  EXPECT_NE(json.find("\"Stage B (apply+flush)\""), std::string::npos);
-}
-
-TEST_F(ObsTest, CounterSamplesExportAsCounterEvents) {
-  obs::TraceSnapshot trace;
-  trace.counters.push_back({"pipeline/queue_depth", 5.0, 2.0});
-  trace.counters.push_back({"pipeline/queue_depth", 7.0, 1.0});
-  std::ostringstream os;
-  obs::write_trace_json(os, trace);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"ph\": \"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 2.000000"), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 1.000000"), std::string::npos);
+  EXPECT_NE(json.find("\"pool-worker-1\""), std::string::npos);
+  EXPECT_NE(json.find("\"main\""), std::string::npos);
 }
 
 TEST_F(ObsTest, TraceJsonEventsAreTimestampSorted) {
   obs::TraceSnapshot trace;
   trace.spans.push_back({"late", 30.0, 1.0, 0, 0});
   trace.spans.push_back({"early", 1.0, 1.0, 0, 0});
-  trace.counters.push_back({"depth", 10.0, 1.0});
+  trace.spans.push_back({"mid", 10.0, 1.0, 1, 0});
   std::ostringstream os;
   obs::write_trace_json(os, trace);
   const std::string json = os.str();
   const std::size_t early = json.find("\"early\"");
-  const std::size_t mid = json.find("\"depth\"");
+  const std::size_t mid = json.find("\"mid\"");
   const std::size_t late = json.find("\"late\"");
   ASSERT_NE(early, std::string::npos);
   ASSERT_NE(mid, std::string::npos);
@@ -566,21 +533,19 @@ TEST_F(ObsTest, TraceJsonEventsAreTimestampSorted) {
 TEST_F(ObsTest, TruncatedTraceExportsInstantMarker) {
   obs::set_trace_enabled(true);
   obs::TraceBuffer::global().set_max_spans(2);
-  for (int i = 0; i < 5; ++i) obs::record_span("s", i, i + 1.0);
-  // Counters have their own budget at the same cap value.
-  for (int i = 0; i < 3; ++i) obs::record_counter_sample("c", i);
+  for (int i = 0; i < 5; ++i) {
+    obs::ScopedSpan s("s");
+  }
   const obs::TraceSnapshot trace =
       obs::TraceBuffer::global().trace_snapshot();
   EXPECT_EQ(trace.spans.size(), 2u);
   EXPECT_EQ(trace.dropped_spans, 3u);
-  EXPECT_EQ(trace.dropped_counters, 1u);
 
   std::ostringstream os;
   obs::write_trace_json(os, trace);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"trace_truncated\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_spans\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_counters\": 1"), std::string::npos);
 }
 
 TEST_F(ObsTest, UntruncatedTraceHasNoMarker) {

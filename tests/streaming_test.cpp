@@ -202,8 +202,8 @@ TEST(StreamingDifferential, GeneratedMatchesMaterialized) {
   }
 }
 
-// Draining a GeneratedSource reproduces generate() exactly — same hash
-// chain, same block count, and the directory only materializes at
+// Draining a GeneratedSource reproduces generate() exactly — equal
+// blocks, same block count, and the directory only materializes at
 // end-of-stream.
 TEST(StreamingDifferential, GeneratedSourceDrainMatchesGenerate) {
   const workload::GeneratorConfig cfg = diff_config(31);
@@ -218,7 +218,7 @@ TEST(StreamingDifferential, GeneratedSourceDrainMatchesGenerate) {
   ASSERT_EQ(chain.blocks().size(), history.chain.blocks().size());
   ASSERT_FALSE(chain.blocks().empty());
   for (std::size_t i = 0; i < chain.blocks().size(); ++i) {
-    ASSERT_EQ(chain.blocks()[i].hash(), history.chain.blocks()[i].hash())
+    ASSERT_TRUE(chain.blocks()[i] == history.chain.blocks()[i])
         << "block " << i;
   }
   ASSERT_NE(source.directory(), nullptr);
@@ -261,8 +261,7 @@ TEST(StreamingDifferential, TraceSourceMatchesMaterializedTrace) {
   while (source.next(block)) chain.append(std::move(block));
   ASSERT_EQ(chain.blocks().size(), from_trace.chain.blocks().size());
   for (std::size_t i = 0; i < chain.blocks().size(); ++i) {
-    ASSERT_EQ(chain.blocks()[i].hash(),
-              from_trace.chain.blocks()[i].hash())
+    ASSERT_TRUE(chain.blocks()[i] == from_trace.chain.blocks()[i])
         << "block " << i;
   }
   ASSERT_NE(source.directory(), nullptr);

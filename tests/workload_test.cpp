@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "eth/gas.hpp"
-#include "eth/keccak.hpp"
 #include "util/check.hpp"
+#include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/growth_model.hpp"
 #include "workload/analysis.hpp"
@@ -315,17 +318,6 @@ TEST_F(GeneratedHistoryTest, ExchangesAreHubs) {
             3.0 * contract_total / static_cast<double>(contract_count));
 }
 
-/// Keccak digest over the content of every block of `chain` (number,
-/// timestamp and every transaction field, through Block::hash).
-eth::Hash256 chain_digest(const eth::Chain& chain) {
-  eth::Keccak256 h;
-  for (const eth::Block& b : chain.blocks()) {
-    const eth::Hash256 bh = b.hash();
-    h.update(bh.data(), bh.size());
-  }
-  return h.finalize();
-}
-
 TEST(Generator, DeterministicForSeed) {
   const History a =
       EthereumHistoryGenerator(small_config(0.0005, 11)).generate();
@@ -333,7 +325,7 @@ TEST(Generator, DeterministicForSeed) {
       EthereumHistoryGenerator(small_config(0.0005, 11)).generate();
   ASSERT_EQ(a.chain.size(), b.chain.size());
   ASSERT_EQ(a.accounts.size(), b.accounts.size());
-  EXPECT_EQ(chain_digest(a.chain), chain_digest(b.chain));
+  EXPECT_TRUE(a.chain.blocks() == b.chain.blocks());
 }
 
 TEST(Generator, SeedsDiverge) {
@@ -341,7 +333,7 @@ TEST(Generator, SeedsDiverge) {
       EthereumHistoryGenerator(small_config(0.0005, 1)).generate();
   const History b =
       EthereumHistoryGenerator(small_config(0.0005, 2)).generate();
-  EXPECT_NE(chain_digest(a.chain), chain_digest(b.chain));
+  EXPECT_FALSE(a.chain.blocks() == b.chain.blocks());
 }
 
 TEST(Generator, ScaleScalesVolume) {
@@ -554,6 +546,113 @@ TEST(TraceIo, RejectsAccountIdsFromTwoToThe32) {
                      "trace line 3: account id 5000000000 is not below 2^32");
   expect_trace_error(header + "0,1000,0,0,4294967296,1,T,5\n",
                      "trace line 2: account id 4294967296 is not below 2^32");
+}
+
+// Fixed-seed corruptions of a generated trace. Each one must fail with
+// the line of the row it broke, or for a block-order error with the
+// line of the lookahead row that reveals it. Ids just below 2^32 are
+// valid and stay out: they would size the per-id tables to tens of GB.
+TEST(TraceIo, SeededCorruptionsNameTheLine) {
+  const History original =
+      EthereumHistoryGenerator(small_config(0.0005, 41)).generate();
+  std::ostringstream written;
+  write_trace(written, original);
+  const std::string bytes = written.str();
+
+  // lines[i] is physical line i + 1; lines[0] is the header.
+  std::vector<std::string> lines;
+  std::istringstream split(bytes);
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  ASSERT_GT(lines.size(), 100u);
+  const auto field = [&](std::size_t i, std::size_t f) {
+    return util::parse_csv_line(lines[i])[f];
+  };
+  const auto same_block = [&](std::size_t i, std::size_t j) {
+    return field(i, 0) == field(j, 0);
+  };
+  const auto join = [](const std::vector<std::string>& rows) {
+    std::string out;
+    for (const std::string& row : rows) out += row + '\n';
+    return out;
+  };
+
+  util::Rng rng(20261020);
+  // A random data line i (1 <= i < lines.size() - 1) for which ok(i).
+  const auto pick = [&](const auto& ok) {
+    std::vector<std::size_t> eligible;
+    for (std::size_t i = 1; i + 1 < lines.size(); ++i)
+      if (ok(i)) eligible.push_back(i);
+    ETHSHARD_CHECK(!eligible.empty());
+    return eligible[rng.uniform(eligible.size())];
+  };
+  const auto line_of = [](std::size_t i) { return std::to_string(i + 1); };
+
+  {
+    SCOPED_TRACE("row cut before its last field");
+    std::vector<std::string> rows = lines;
+    const std::size_t i = pick([](std::size_t) { return true; });
+    rows[i].erase(rows[i].rfind(','));
+    expect_trace_error(join(rows),
+                       "trace line " + line_of(i) + ": row with 7 fields");
+  }
+  {
+    // Row i is the last row of a block with at least two rows and row
+    // i + 1 opens the next block. After the swap the first block ends
+    // early, the next one opens on line i + 1, and the moved row on line
+    // i + 2 is the lookahead that breaks block order.
+    SCOPED_TRACE("adjacent rows of two blocks swapped");
+    std::vector<std::string> rows = lines;
+    const std::size_t i = pick([&](std::size_t j) {
+      return j >= 2 && same_block(j - 1, j) && !same_block(j, j + 1);
+    });
+    std::swap(rows[i], rows[i + 1]);
+    expect_trace_error(join(rows), "trace line " + line_of(i + 1) +
+                                       ": rows out of block order");
+  }
+  {
+    SCOPED_TRACE("two calls of one transaction swapped");
+    std::vector<std::string> rows = lines;
+    const std::size_t i = pick([&](std::size_t j) {
+      return same_block(j, j + 1) && field(j, 2) == field(j + 1, 2);
+    });
+    std::swap(rows[i], rows[i + 1]);
+    expect_trace_error(join(rows), "trace line " + line_of(i) +
+                                       ": rows out of call order");
+  }
+  {
+    SCOPED_TRACE("header repeated mid-file");
+    std::vector<std::string> rows = lines;
+    const std::size_t i = pick([](std::size_t) { return true; });
+    rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(i), lines[0]);
+    expect_trace_error(join(rows), "trace line " + line_of(i) +
+                                       ": bad integer field 'block'");
+  }
+  for (const char* id : {"4294967296", "4294967297"}) {
+    for (const std::size_t f : {std::size_t{4}, std::size_t{5}}) {
+      SCOPED_TRACE("id " + std::string(id) + " in field " +
+                   std::to_string(f));
+      std::vector<std::string> rows = lines;
+      const std::size_t i = pick([](std::size_t) { return true; });
+      std::vector<std::string> cells = util::parse_csv_line(rows[i]);
+      cells[f] = id;
+      rows[i] = cells[0];
+      for (std::size_t c = 1; c < cells.size(); ++c) rows[i] += "," + cells[c];
+      expect_trace_error(join(rows), "trace line " + line_of(i) +
+                                         ": account id " + id +
+                                         " is not below 2^32");
+    }
+  }
+  {
+    SCOPED_TRACE("CRLF line endings");
+    std::string crlf;
+    for (const char c : bytes) crlf += c == '\n' ? std::string("\r\n")
+                                               : std::string(1, c);
+    std::istringstream in(crlf);
+    const History restored = read_trace(in);
+    std::ostringstream rewritten;
+    write_trace(rewritten, restored);
+    EXPECT_EQ(rewritten.str(), bytes);
+  }
 }
 
 // --------------------------------------------------------------- analysis
@@ -785,12 +884,36 @@ TEST(BigQueryImport, HugeValuesClampInsteadOfOverflow) {
             ~std::uint64_t{0});
 }
 
+/// Expects import_bigquery_traces(csv) to fail with a message
+/// containing `want`.
+void expect_import_error(const std::string& csv, const std::string& want) {
+  std::istringstream in(csv);
+  try {
+    import_bigquery_traces(in);
+    ADD_FAILURE() << "expected a CheckFailure containing '" << want << "'";
+  } catch (const util::CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BigQueryImport, RejectsUnsortedBlocks) {
   std::string csv = kTracesHeader;
   csv += "10,1500000000,0x1," + addr(1) + "," + addr(2) + ",1,call,0x\n";
   csv += "9,1500000000,0x2," + addr(1) + "," + addr(2) + ",1,call,0x\n";
-  std::istringstream in(csv);
-  EXPECT_THROW(import_bigquery_traces(in), util::CheckFailure);
+  expect_import_error(csv,
+                      "traces CSV line 3: block_number 9 after 10, rows "
+                      "are not sorted by block_number");
+}
+
+TEST(BigQueryImport, RejectsTimestampRegression) {
+  std::string csv = kTracesHeader;
+  csv += "10,1500000100,0x1," + addr(1) + "," + addr(2) + ",1,call,0x\n";
+  csv += "10,1500000100,0x1," + addr(2) + "," + addr(3) + ",1,call,0x\n";
+  csv += "11,1500000000,0x2," + addr(1) + "," + addr(2) + ",1,call,0x\n";
+  expect_import_error(csv,
+                      "traces CSV line 4: block 11 has timestamp "
+                      "1500000000, before block 10's 1500000100");
 }
 
 TEST(BigQueryImport, RejectsMissingColumns) {

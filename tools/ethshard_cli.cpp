@@ -125,7 +125,7 @@ int usage() {
       "                       ends in .csv\n"
       "  --trace-out PATH     enable tracing; write Chrome trace-event\n"
       "                       JSON (chrome://tracing, Perfetto) on exit\n"
-      "  --trace-max-spans N  span/counter buffer cap (default ~1M);\n"
+      "  --trace-max-spans N  span buffer cap (default ~1M);\n"
       "                       overflow truncates the trace and warns\n");
   return 2;
 }
@@ -573,13 +573,16 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   util::ArgParser args(argc - 2, argv + 2);
+  // `<command> --help` prints the usage, as `ethshard help` does, and
+  // runs nothing.
+  if (args.has("help")) return usage();
 
   try {
     const std::string metrics_out = args.get("metrics-out", "");
     const std::string trace_out = args.get("trace-out", "");
     if (!metrics_out.empty()) obs::set_enabled(true);
     if (!trace_out.empty()) obs::set_trace_enabled(true);
-    // --trace-max-spans caps the span/counter buffers (0 = unlimited);
+    // --trace-max-spans is the span buffer cap (0 = unlimited);
     // useful to bound a long profiling run's memory, or to force the
     // truncation path when testing it.
     if (const std::uint64_t cap =
@@ -641,14 +644,11 @@ int main(int argc, char** argv) {
           obs::TraceBuffer::global().trace_snapshot();
       obs::write_trace_json_file(trace_out, trace);
       std::fprintf(stderr, "[ethshard] trace -> %s\n", trace_out.c_str());
-      if (trace.dropped_spans > 0 || trace.dropped_counters > 0)
+      if (trace.dropped_spans > 0)
         std::fprintf(stderr,
-                     "[ethshard] warning: trace truncated — %llu spans / "
-                     "%llu counter samples dropped (raise "
-                     "--trace-max-spans)\n",
-                     static_cast<unsigned long long>(trace.dropped_spans),
-                     static_cast<unsigned long long>(
-                         trace.dropped_counters));
+                     "[ethshard] warning: trace truncated — %llu spans "
+                     "dropped (raise --trace-max-spans)\n",
+                     static_cast<unsigned long long>(trace.dropped_spans));
     }
     // --max-rss-mb: a memory budget over the whole command. Checked
     // against the kernel's process high-water mark, so nothing the run
