@@ -10,6 +10,7 @@
 #include "metrics/metrics.hpp"
 #include "partition/blp.hpp"
 #include "partition/coarsen.hpp"
+#include "partition/ensemble.hpp"
 #include "partition/fm.hpp"
 #include "partition/hash_partitioner.hpp"
 #include "partition/initial_bisection.hpp"
@@ -784,6 +785,43 @@ TEST(Blp, RequiresCompletePartition) {
   Partition p(4, 2);  // unassigned
   BalancedLabelPropagation blp;
   EXPECT_THROW(blp.refine(g, p), util::CheckFailure);
+}
+
+// -------------------------------------------------------------- ensemble
+
+TEST(Ensemble, NeverWorseThanSingleAttempt) {
+  util::Rng grng(601);
+  const Graph g = graph::make_barabasi_albert(200, 2, grng);
+  auto factory = [](std::uint64_t seed) {
+    return std::make_unique<MlkpPartitioner>(MlkpConfig{.seed = seed});
+  };
+  EnsemblePartitioner ensemble(factory, /*tries=*/4, /*base_seed=*/10);
+  const Partition best = ensemble.partition(g, 4);
+  const Weight best_cut = edge_cut_weight(g, best);
+  EXPECT_EQ(best_cut, ensemble.last_best_cut());
+
+  for (std::uint64_t seed = 10; seed < 14; ++seed) {
+    MlkpPartitioner single(MlkpConfig{.seed = seed});
+    EXPECT_GE(edge_cut_weight(g, single.partition(g, 4)), best_cut);
+  }
+}
+
+TEST(Ensemble, SingleTryMatchesInner) {
+  const Graph g = graph::make_grid(10, 10);
+  auto factory = [](std::uint64_t seed) {
+    return std::make_unique<MlkpPartitioner>(MlkpConfig{.seed = seed});
+  };
+  EnsemblePartitioner ensemble(factory, 1, 42);
+  MlkpPartitioner inner(MlkpConfig{.seed = 42});
+  EXPECT_EQ(ensemble.partition(g, 2), inner.partition(g, 2));
+}
+
+TEST(Ensemble, RejectsBadConfig) {
+  auto factory = [](std::uint64_t seed) {
+    return std::make_unique<MlkpPartitioner>(MlkpConfig{.seed = seed});
+  };
+  EXPECT_THROW(EnsemblePartitioner(factory, 0), util::CheckFailure);
+  EXPECT_THROW(EnsemblePartitioner(nullptr, 2), util::CheckFailure);
 }
 
 // -------------------------------------------------------------- metis io
