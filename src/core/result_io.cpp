@@ -38,28 +38,6 @@ void write_repartitions_csv(std::ostream& out,
   }
 }
 
-void write_summary_csv(std::ostream& out, const SimulationResult& result) {
-  util::CsvWriter csv(out);
-  csv.write_row({"method", "k", "vertices", "distinct_edges",
-                 "interactions", "final_static_edge_cut",
-                 "final_static_balance", "executed_cross_shard_fraction",
-                 "total_moves", "total_moved_state_units", "online_moves",
-                 "repartitions"});
-  csv.field(result.strategy_name)
-      .field(static_cast<std::uint64_t>(result.k))
-      .field(result.vertices)
-      .field(result.distinct_edges)
-      .field(result.interactions)
-      .field(result.final_static_edge_cut)
-      .field(result.final_static_balance)
-      .field(result.executed_cross_shard_fraction)
-      .field(result.total_moves)
-      .field(result.total_moved_state_units)
-      .field(result.online_moves)
-      .field(static_cast<std::uint64_t>(result.repartitions.size()));
-  csv.end_row();
-}
-
 namespace {
 std::ofstream open_or_throw(const std::string& path) {
   std::ofstream out(path);

@@ -309,8 +309,9 @@ void ShardingSimulator::flush_window(util::Timestamp window_end) {
   sample.static_balance = current_static_balance();
   sample.interactions = window_metrics_.total_interactions();
 
-  const bool record =
-      !cfg_.skip_empty_windows || !window_metrics_.empty();
+  // Periods with no traffic produce no sample, mirroring the paper's
+  // data points.
+  const bool record = sample.interactions > 0;
   if (record) {
     result_.windows.push_back(sample);
     ETHSHARD_OBS_COUNT("sim/windows", 1);
@@ -472,9 +473,8 @@ SimulationResult ShardingSimulator::run() {
       // wholesale as far as the strategy's no_repartition_before bound
       // allows — they would produce no sample and a guaranteed-false
       // should_repartition, so the result is identical.
-      if (cfg_.fast_forward_gaps && cfg_.skip_empty_windows &&
-          cfg_.telemetry == nullptr && cfg_.consumer == nullptr &&
-          window_metrics_.empty()) {
+      if (cfg_.fast_forward_gaps && cfg_.telemetry == nullptr &&
+          cfg_.consumer == nullptr && window_metrics_.empty()) {
         const util::Timestamp width = cfg_.metric_window;
         const auto pending =
             static_cast<std::uint64_t>((now_ - window_start_) / width);

@@ -38,9 +38,6 @@ struct SimulatorConfig {
   util::Timestamp metric_window = util::kMetricWindow;
   /// Unit of the dynamic-balance load (kCalls reproduces the paper).
   LoadModel load_model = LoadModel::kCalls;
-  /// Suppress empty windows (periods with no traffic produce no sample,
-  /// mirroring the paper's data points).
-  bool skip_empty_windows = true;
   /// Rename each newly computed partition's shard labels to maximize
   /// overlap with the previous assignment before counting moves, so a
   /// from-scratch partitioner is not charged for pure label permutations
@@ -58,9 +55,9 @@ struct SimulatorConfig {
   TelemetryConsumer* consumer = nullptr;
   /// Skip long runs of empty windows in one step instead of flushing them
   /// one at a time, when the strategy declares (no_repartition_before)
-  /// that quiet windows cannot trigger it. Only engages when
-  /// skip_empty_windows is set and no telemetry sink or consumer is
-  /// attached, so the observable output is identical either way.
+  /// that quiet windows cannot trigger it. Only engages when no telemetry
+  /// sink or consumer is attached, so the observable output is identical
+  /// either way.
   bool fast_forward_gaps = true;
   /// Debug cross-check: at every window flush, recompute the static cut
   /// from scratch and compare with the incrementally maintained count

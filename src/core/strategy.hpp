@@ -66,11 +66,11 @@ class ShardingStrategy {
   /// the last repartition happened at `last_repartition`. The simulator
   /// uses this to fast-forward long traffic gaps: empty windows ending
   /// strictly before the returned time are skipped without consulting the
-  /// strategy at all (they are not recorded either — see
-  /// SimulatorConfig::skip_empty_windows). Returning kAlwaysConsult (the
-  /// conservative default) disables skipping; kNeverOnEmpty declares that
-  /// quiet windows can never trigger a repartition (pure threshold
-  /// strategies); periodic strategies return last_repartition + period.
+  /// strategy at all (they produce no WindowSample either). Returning
+  /// kAlwaysConsult (the conservative default) disables skipping;
+  /// kNeverOnEmpty declares that quiet windows can never trigger a
+  /// repartition (pure threshold strategies); periodic strategies return
+  /// last_repartition + period.
   /// Implementations must be consistent with should_repartition on empty
   /// snapshots AND must not depend on being consulted for skipped windows
   /// (no per-window internal state for quiet windows).

@@ -15,12 +15,11 @@
 //    "dynamic_balance": f, "static_edge_cut": f, "static_balance": f,
 //    "window_wall_ms": f, "repartition": bool, "partitioner_ms": f,
 //    "moves": N, "moved_state_units": N, "rss_mb": f, "peak_rss_mb": f}
-// "recorded" mirrors SimulatorConfig::skip_empty_windows — false marks
-// a window that produced no WindowSample (no traffic). "v" is the
-// schema version; consumers should ignore unknown keys (rss_mb and
-// peak_rss_mb were appended by the streaming BlockSource work — the
-// resident set at flush time and the process high-water mark, both 0
-// where /proc is unavailable).
+// "recorded" is interactions > 0 — false marks a window that produced no
+// WindowSample (no traffic). "v" is the schema version; consumers should
+// ignore unknown keys (rss_mb and peak_rss_mb were appended by the
+// streaming BlockSource work — the resident set at flush time and the
+// process high-water mark, both 0 where /proc is unavailable).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +38,8 @@ struct WindowTelemetry {
   /// one past the last block timestamp.
   std::uint64_t window_end = 0;
   std::uint64_t interactions = 0;
-  /// False for windows suppressed by skip_empty_windows.
+  /// interactions > 0: false for a window with no traffic, which
+  /// produced no WindowSample.
   bool recorded = true;
   double dynamic_edge_cut = 0;
   double dynamic_balance = 1;

@@ -40,10 +40,6 @@ class Chain {
   /// Total transactions across all blocks.
   std::uint64_t transaction_count() const { return tx_count_; }
 
-  /// Index of the first block with timestamp >= ts (blocks are time-sorted),
-  /// i.e. a lower-bound search usable for windowed replay.
-  std::uint64_t first_block_at_or_after(util::Timestamp ts) const;
-
  private:
   std::vector<Block> blocks_;
   std::uint64_t tx_count_ = 0;

@@ -120,13 +120,6 @@ std::uint64_t StateDb::storage_slots(AccountId id) const {
   return it == accounts_.end() ? 0 : it->second.storage.size();
 }
 
-std::uint64_t StateDb::storage_at(AccountId id, std::uint64_t slot) const {
-  const auto it = accounts_.find(id);
-  if (it == accounts_.end()) return 0;
-  const auto sit = it->second.storage.find(slot);
-  return sit == it->second.storage.end() ? 0 : sit->second;
-}
-
 bool StateDb::check_conservation() const {
   std::uint64_t total = fees_;
   for (const auto& [id, a] : accounts_) total += a.balance_wei;

@@ -62,14 +62,6 @@ class StateDb {
   std::uint64_t nonce(AccountId id) const;
   /// Storage slots currently held by the account (0 for non-contracts).
   std::uint64_t storage_slots(AccountId id) const;
-  /// Storage slot value (0 when unset), Ethereum's zero-default semantics.
-  std::uint64_t storage_at(AccountId id, std::uint64_t slot) const;
-
-  std::uint64_t account_count() const { return accounts_.size(); }
-  std::uint64_t next_block() const { return next_block_; }
-
-  /// Wei credited via credit() since construction.
-  std::uint64_t total_minted() const { return minted_; }
   /// Gas fees collected from senders (the miner pot).
   std::uint64_t total_fees() const { return fees_; }
   /// Conservation invariant: Σ balances + fees == minted. O(accounts).

@@ -70,7 +70,6 @@ class Graph {
   std::uint64_t degree(Vertex v) const { return xadj_[v + 1] - xadj_[v]; }
 
   Weight vertex_weight(Vertex v) const { return vwgt_[v]; }
-  const std::vector<Weight>& vertex_weights() const { return vwgt_; }
 
   /// Sum of all vertex weights.
   Weight total_vertex_weight() const { return total_vwgt_; }

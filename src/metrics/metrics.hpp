@@ -69,7 +69,6 @@ class WindowAccumulator {
   /// Interactions between distinct endpoints (the cut denominator).
   graph::Weight pair_interactions() const { return pair_interactions_; }
   graph::Weight cross_interactions() const { return cross_interactions_; }
-  const std::vector<graph::Weight>& shard_load() const { return load_; }
 
   bool empty() const { return total_interactions_ == 0 && total_load_ == 0; }
 

@@ -100,17 +100,10 @@ void TraceBuffer::set_max_spans(std::size_t cap) {
   max_spans_ = cap;
 }
 
-std::size_t TraceBuffer::max_spans() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return max_spans_;
-}
-
 std::uint64_t TraceBuffer::dropped() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
 }
-
-std::uint32_t current_thread_ordinal() { return thread_ordinal(); }
 
 void set_current_thread_lane(const char* name) {
   if (!trace_enabled()) return;

@@ -45,8 +45,8 @@ struct TraceSnapshot {
   std::uint64_t dropped_spans = 0;
 };
 
-/// Process-wide store of completed spans. Growth is bounded: once
-/// max_spans() spans are buffered, further records are dropped and
+/// Process-wide store of completed spans. Growth is bounded: once the
+/// span cap (set_max_spans) is reached, further records are dropped and
 /// counted (a multi-hour --trace-out run degrades to a truncated trace
 /// instead of exhausting memory silently). The drop counter is surfaced
 /// in metrics exports as the "trace/dropped_spans" counter.
@@ -72,7 +72,6 @@ class TraceBuffer {
 
   /// Span buffer cap; 0 means unlimited.
   void set_max_spans(std::size_t cap);
-  std::size_t max_spans() const;
   /// Spans rejected because the buffer was full (since the last clear).
   std::uint64_t dropped() const;
 
@@ -101,10 +100,6 @@ class ScopedSpan {
 
 /// Milliseconds since the trace epoch (steady clock).
 double trace_now_ms();
-
-/// This thread's small stable ordinal — the "tid" every span it records
-/// carries, and the key set_thread_lane names.
-std::uint32_t current_thread_ordinal();
 
 /// Names the calling thread's timeline lane in the global buffer. No-op
 /// when tracing is disabled. `name` is copied.

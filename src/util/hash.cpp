@@ -2,15 +2,6 @@
 
 namespace ethshard::util {
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xFF51AFD7ED558CCDULL;

@@ -7,12 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace ethshard::util {
-
-/// 64-bit FNV-1a over a byte string.
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// MurmurHash3 fmix64 finalizer — a fast, well-mixed permutation of a
 /// 64-bit value. This is what the Hashing partitioner applies to vertex

@@ -1,8 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace ethshard::util {
@@ -54,14 +51,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  ETHSHARD_CHECK(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next());  // full range
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::uniform01() {
   // 53 random mantissa bits -> double in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
@@ -71,83 +60,6 @@ bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
-}
-
-double Rng::exponential(double rate) {
-  ETHSHARD_CHECK(rate > 0);
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    // Normal approximation, adequate for synthetic workload volumes.
-    const double u1 = std::max(uniform01(), 1e-300);
-    const double u2 = uniform01();
-    const double z = std::sqrt(-2.0 * std::log(u1)) *
-                     std::cos(2.0 * 3.14159265358979323846 * u2);
-    const double v = mean + std::sqrt(mean) * z;
-    return v <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(v));
-  }
-  // Knuth's multiplication method.
-  const double limit = std::exp(-mean);
-  std::uint64_t k = 0;
-  double prod = uniform01();
-  while (prod > limit) {
-    ++k;
-    prod *= uniform01();
-  }
-  return k;
-}
-
-std::uint64_t Rng::geometric(double p) {
-  ETHSHARD_CHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  double u;
-  do {
-    u = uniform01();
-  } while (u <= 0.0);
-  return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  double total = 0;
-  for (double w : weights) {
-    ETHSHARD_CHECK(w >= 0);
-    total += w;
-  }
-  ETHSHARD_CHECK(total > 0);
-  double target = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0) return i;
-  }
-  return weights.size() - 1;  // numeric edge: all mass consumed
-}
-
-Rng Rng::fork() { return Rng(next()); }
-
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  ETHSHARD_CHECK(n >= 1);
-  ETHSHARD_CHECK(s >= 0);
-  cdf_.resize(n);
-  double acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[i] = acc;
-  }
-  for (auto& c : cdf_) c /= acc;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform01();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<std::size_t>(it - cdf_.begin());
 }
 
 }  // namespace ethshard::util

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace ethshard::util {
 
@@ -38,30 +37,11 @@ class Rng {
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p);
-
-  /// Exponentially distributed value with the given rate (mean = 1/rate).
-  /// Precondition: rate > 0.
-  double exponential(double rate);
-
-  /// Poisson-distributed count with the given mean. Uses Knuth's method for
-  /// small means and a normal approximation (rounded, clamped at 0) for
-  /// mean > 64, which is accurate enough for workload synthesis.
-  std::uint64_t poisson(double mean);
-
-  /// Geometric count of failures before first success; p in (0, 1].
-  std::uint64_t geometric(double p);
-
-  /// Samples an index in [0, weights.size()) proportionally to weights.
-  /// Precondition: at least one weight is positive; weights are >= 0.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Fisher–Yates shuffle of an index-addressable container.
   template <typename Container>
@@ -73,26 +53,8 @@ class Rng {
     }
   }
 
-  /// Forks an independent generator stream (seeded from this one).
-  Rng fork();
-
  private:
   std::array<std::uint64_t, 4> state_;
-};
-
-/// Zipf(s, n) sampler over ranks {0, .., n-1} via inverse-CDF on a
-/// precomputed table. Rank 0 is the most popular. Used for skewed
-/// (power-law-like) popularity in workload generation.
-class ZipfSampler {
- public:
-  /// Precondition: n >= 1, s >= 0. s == 0 degenerates to uniform.
-  ZipfSampler(std::size_t n, double s);
-
-  std::size_t sample(Rng& rng) const;
-  std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace ethshard::util

@@ -405,7 +405,7 @@ struct GeneratedSource::Impl {
       // limit.
       for (Transaction& tx : created) {
         tx.nonce = next_nonce[tx.sender]++;
-        pool.submit(std::move(tx), block_time);
+        pool.submit(std::move(tx));
       }
       std::vector<Transaction> packed = pool.pack_block(cfg.block_gas_limit);
       if (packed.empty()) continue;

@@ -188,6 +188,13 @@ ImportResult import_bigquery_traces(std::istream& in) {
       block.timestamp = ts;
       block_open = true;
       open_tx_hash.clear();
+    } else {
+      ETHSHARD_CHECK_MSG(ts == block.timestamp,
+                         "traces CSV line "
+                             << reader.line()
+                             << ": inconsistent timestamp within block "
+                             << block_number << " (" << ts
+                             << ", first row " << block.timestamp << ")");
     }
 
     const eth::AccountId from = account_of(row[col.from_address], ts);

@@ -13,6 +13,7 @@
 //   block_number       integer, rows must be grouped by block and
 //                      non-decreasing
 //   block_timestamp    unix seconds, or "YYYY-MM-DD HH:MM:SS[ UTC]";
+//                      the same on every row of a block, and
 //                      non-decreasing from block to block
 //   transaction_hash   groups rows into transactions (empty → own tx)
 //   from_address       0x-hex or empty (empty/invalid rows are skipped)
@@ -46,9 +47,10 @@ struct ImportResult {
 };
 
 /// Parses a BigQuery-style traces CSV. Throws util::CheckFailure on a
-/// missing required column, or on a block whose number or timestamp is
-/// below the previous block's (the message starts "traces CSV line N:");
-/// malformed rows are counted in stats.skipped_rows and dropped.
+/// missing required column, on a block whose number or timestamp is
+/// below the previous block's, or on a row whose timestamp differs from
+/// its block's first row (the last two messages start "traces CSV line
+/// N:"); malformed rows are counted in stats.skipped_rows and dropped.
 ImportResult import_bigquery_traces(std::istream& in);
 
 /// File convenience; throws util::CheckFailure if the file cannot open.

@@ -182,6 +182,34 @@ if(EXISTS ${HELP_CSV})
   message(FATAL_ERROR "simulate --help ran a simulation: wrote ${HELP_CSV}")
 endif()
 
+# A bad --shards value fails by name before any history loads, so no
+# "generating synthetic history" line is printed. simulate, partition and
+# metis-eval take one shard count, compare a list; a count must fit a
+# ShardId below the unassigned sentinel 2^32-1.
+function(expect_bad_shards)
+  execute_process(
+    COMMAND ${CLI} ${ARGN} --scale 0.0003
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "ethshard ${ARGN}: exit 0, want an error:\n${out}")
+  endif()
+  if(NOT err MATCHES "--shards")
+    message(FATAL_ERROR "ethshard ${ARGN}: error names no --shards:\n${err}")
+  endif()
+  if(err MATCHES "generating synthetic history")
+    message(FATAL_ERROR
+      "ethshard ${ARGN}: loaded a history before rejecting --shards:\n${err}")
+  endif()
+endfunction()
+expect_bad_shards(simulate --shards 4294967298)
+expect_bad_shards(simulate --shards 0)
+expect_bad_shards(partition --shards 4294967297)
+expect_bad_shards(metis-eval --part ${METIS_PART} --shards 4294967295)
+expect_bad_shards(compare --shards 2,x)
+expect_bad_shards(compare --shards 2,,4)
+
 # Unknown method must fail cleanly.
 execute_process(
   COMMAND ${CLI} simulate --trace ${TRACE} --method Bogus

@@ -17,7 +17,6 @@
 #include "core/throughput.hpp"
 #include "eth/gas.hpp"
 #include "obs/obs.hpp"
-#include "util/csv.hpp"
 #include "util/check.hpp"
 #include "workload/generator.hpp"
 
@@ -664,22 +663,6 @@ TEST(ResultIo, RepartitionsCsvShape) {
   EXPECT_GT(rows, 0u);
 }
 
-TEST(ResultIo, SummaryCsvRoundTripsThroughReader) {
-  const SimulationResult r = run_method(Method::kHashing, 4);
-  std::ostringstream out;
-  write_summary_csv(out, r);
-  std::istringstream in(out.str());
-  util::CsvReader reader(in);
-  std::vector<std::string> header;
-  std::vector<std::string> row;
-  ASSERT_TRUE(reader.read_row(header));
-  ASSERT_TRUE(reader.read_row(row));
-  ASSERT_EQ(header.size(), row.size());
-  EXPECT_EQ(row[0], "Hashing");
-  EXPECT_EQ(row[1], "4");
-  EXPECT_EQ(row[8], "0");  // hashing: zero moves
-}
-
 // -------------------------------------------------------------- experiment
 
 TEST(Experiment, GridProducesOneRunPerCell) {
@@ -944,18 +927,6 @@ TEST(Simulator, CustomMetricWindowChangesSampleCount) {
   for (const WindowSample& w : four_hour.windows) a += w.interactions;
   for (const WindowSample& w : daily.windows) b += w.interactions;
   EXPECT_EQ(a, b);
-}
-
-TEST(Simulator, KeepEmptyWindowsOption) {
-  const auto strategy = make_strategy(Method::kHashing);
-  SimulatorConfig cfg;
-  cfg.k = 2;
-  cfg.skip_empty_windows = false;
-  ShardingSimulator sim(tiny_history(), *strategy, cfg);
-  const SimulationResult with_empty = sim.run();
-
-  const SimulationResult without = run_method(Method::kHashing, 2);
-  EXPECT_GT(with_empty.windows.size(), without.windows.size());
 }
 
 TEST(Simulator, EmptyHistory) {

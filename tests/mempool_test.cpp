@@ -1,5 +1,5 @@
 // Tests for the mempool: fee-priority block packing under a gas limit
-// (§II-A), nonce ordering, replacement and eviction.
+// (§II-A), nonce ordering and replacement.
 #include <gtest/gtest.h>
 
 #include "eth/mempool.hpp"
@@ -20,8 +20,8 @@ Transaction make_tx(AccountId sender, std::uint64_t nonce,
 TEST(Mempool, SubmitAndSize) {
   Mempool pool;
   EXPECT_TRUE(pool.empty());
-  EXPECT_TRUE(pool.submit(make_tx(1, 0, 5), 100));
-  EXPECT_TRUE(pool.submit(make_tx(2, 0, 7), 100));
+  EXPECT_TRUE(pool.submit(make_tx(1, 0, 5)));
+  EXPECT_TRUE(pool.submit(make_tx(2, 0, 7)));
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_TRUE(pool.contains(1, 0));
   EXPECT_FALSE(pool.contains(1, 1));
@@ -31,16 +31,16 @@ TEST(Mempool, RejectsMalformed) {
   Mempool pool;
   Transaction bad;
   bad.sender = 1;  // empty trace
-  EXPECT_FALSE(pool.submit(std::move(bad), 100));
+  EXPECT_FALSE(pool.submit(std::move(bad)));
   EXPECT_TRUE(pool.empty());
 }
 
 TEST(Mempool, ReplacementRequiresBetterPrice) {
   Mempool pool;
-  EXPECT_TRUE(pool.submit(make_tx(1, 0, 5), 100));
-  EXPECT_FALSE(pool.submit(make_tx(1, 0, 5), 200));  // equal price
-  EXPECT_FALSE(pool.submit(make_tx(1, 0, 4), 200));  // worse
-  EXPECT_TRUE(pool.submit(make_tx(1, 0, 9), 200));   // better replaces
+  EXPECT_TRUE(pool.submit(make_tx(1, 0, 5)));
+  EXPECT_FALSE(pool.submit(make_tx(1, 0, 5)));  // equal price
+  EXPECT_FALSE(pool.submit(make_tx(1, 0, 4)));  // worse
+  EXPECT_TRUE(pool.submit(make_tx(1, 0, 9)));   // better replaces
   EXPECT_EQ(pool.size(), 1u);
   const auto block = pool.pack_block(1'000'000);
   ASSERT_EQ(block.size(), 1u);
@@ -49,9 +49,9 @@ TEST(Mempool, ReplacementRequiresBetterPrice) {
 
 TEST(Mempool, PacksByGasPrice) {
   Mempool pool;
-  pool.submit(make_tx(1, 0, 3), 100);
-  pool.submit(make_tx(2, 0, 9), 100);
-  pool.submit(make_tx(3, 0, 6), 100);
+  pool.submit(make_tx(1, 0, 3));
+  pool.submit(make_tx(2, 0, 9));
+  pool.submit(make_tx(3, 0, 6));
   const auto block = pool.pack_block(10'000'000);
   ASSERT_EQ(block.size(), 3u);
   EXPECT_EQ(block[0].gas_price, 9u);
@@ -64,9 +64,9 @@ TEST(Mempool, NonceChainsNeverReorder) {
   Mempool pool;
   // Sender 1's nonce-1 tx pays more than its nonce-0 tx, but must still
   // come after it.
-  pool.submit(make_tx(1, 0, 2), 100);
-  pool.submit(make_tx(1, 1, 50), 100);
-  pool.submit(make_tx(2, 0, 10), 100);
+  pool.submit(make_tx(1, 0, 2));
+  pool.submit(make_tx(1, 1, 50));
+  pool.submit(make_tx(2, 0, 10));
   const auto block = pool.pack_block(10'000'000);
   ASSERT_EQ(block.size(), 3u);
   EXPECT_EQ(block[0].sender, 2u);  // best eligible price
@@ -77,7 +77,7 @@ TEST(Mempool, NonceChainsNeverReorder) {
 
 TEST(Mempool, RespectsGasLimit) {
   Mempool pool;
-  for (AccountId s = 1; s <= 10; ++s) pool.submit(make_tx(s, 0, s), 100);
+  for (AccountId s = 1; s <= 10; ++s) pool.submit(make_tx(s, 0, s));
   const std::uint64_t one_tx_gas = transaction_gas(make_tx(1, 0, 1));
   const auto block = pool.pack_block(3 * one_tx_gas);
   EXPECT_EQ(block.size(), 3u);
@@ -90,19 +90,9 @@ TEST(Mempool, RespectsGasLimit) {
 
 TEST(Mempool, ZeroLimitPacksNothing) {
   Mempool pool;
-  pool.submit(make_tx(1, 0, 5), 100);
+  pool.submit(make_tx(1, 0, 5));
   EXPECT_TRUE(pool.pack_block(0).empty());
   EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(Mempool, EvictionByAge) {
-  Mempool pool;
-  pool.submit(make_tx(1, 0, 5), 100);
-  pool.submit(make_tx(2, 0, 5), 200);
-  pool.submit(make_tx(3, 0, 5), 300);
-  EXPECT_EQ(pool.evict_older_than(250), 2u);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_TRUE(pool.contains(3, 0));
 }
 
 }  // namespace

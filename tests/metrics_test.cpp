@@ -2,14 +2,10 @@
 // window accumulation and distribution summaries.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/summary.hpp"
-#include "metrics/timeseries.hpp"
 #include "partition/types.hpp"
 #include "util/check.hpp"
 
@@ -212,98 +208,6 @@ TEST(Summary, ToStringContainsFields) {
   const std::string s = to_string(summarize({1, 2, 3}));
   EXPECT_NE(s.find("med="), std::string::npos);
   EXPECT_NE(s.find("mean="), std::string::npos);
-}
-
-// ------------------------------------------------------------ timeseries
-
-TimeSeries make_series(std::initializer_list<double> values,
-                       util::Timestamp step = util::kHour) {
-  TimeSeries s;
-  util::Timestamp t = 0;
-  for (double v : values) {
-    s.push_back(TimePoint{t, v});
-    t += step;
-  }
-  return s;
-}
-
-TEST(TimeSeriesOps, EwmaAlphaOneIsIdentity) {
-  const TimeSeries s = make_series({1, 5, 2, 8});
-  EXPECT_EQ(ewma(s, 1.0), s);
-}
-
-TEST(TimeSeriesOps, EwmaSmoothsTowardMean) {
-  const TimeSeries s = make_series({0, 10, 0, 10, 0, 10, 0, 10});
-  const TimeSeries sm = ewma(s, 0.25);
-  // Smoothed oscillation amplitude shrinks.
-  double max_jump = 0;
-  for (std::size_t i = 1; i < sm.size(); ++i)
-    max_jump = std::max(max_jump, std::abs(sm[i].value - sm[i - 1].value));
-  EXPECT_LT(max_jump, 5.0);
-  // First observation seeds exactly.
-  EXPECT_DOUBLE_EQ(sm[0].value, 0.0);
-}
-
-TEST(TimeSeriesOps, EwmaRejectsBadAlpha) {
-  const TimeSeries s = make_series({1});
-  EXPECT_THROW(ewma(s, 0.0), util::CheckFailure);
-  EXPECT_THROW(ewma(s, 1.5), util::CheckFailure);
-}
-
-TEST(TimeSeriesOps, ResampleMeanBucketsCorrectly) {
-  // Hourly values, 4-hour buckets.
-  const TimeSeries s = make_series({1, 2, 3, 4, 5, 6, 7, 8});
-  const TimeSeries r = resample_mean(s, 0, 4 * util::kHour);
-  ASSERT_EQ(r.size(), 2u);
-  EXPECT_DOUBLE_EQ(r[0].value, 2.5);
-  EXPECT_DOUBLE_EQ(r[1].value, 6.5);
-  EXPECT_EQ(r[0].time, 0);
-  EXPECT_EQ(r[1].time, 4 * util::kHour);
-}
-
-TEST(TimeSeriesOps, ResampleSkipsEmptyBuckets) {
-  TimeSeries s;
-  s.push_back(TimePoint{0, 1.0});
-  s.push_back(TimePoint{10 * util::kHour, 2.0});
-  const TimeSeries r = resample_mean(s, 0, util::kHour);
-  ASSERT_EQ(r.size(), 2u);  // 9 empty buckets produce nothing
-}
-
-TEST(TimeSeriesOps, ResampleCustomReduction) {
-  const TimeSeries s = make_series({1, 9, 4});
-  const TimeSeries r =
-      resample(s, 0, util::kDay, [](const std::vector<double>& v) {
-        return *std::max_element(v.begin(), v.end());
-      });
-  ASSERT_EQ(r.size(), 1u);
-  EXPECT_DOUBLE_EQ(r[0].value, 9.0);
-}
-
-TEST(TimeSeriesOps, SummarizeRangeFilters) {
-  const TimeSeries s = make_series({1, 2, 3, 4, 5});
-  const Summary sum =
-      summarize_range(s, util::kHour, 4 * util::kHour);  // values 2,3,4
-  EXPECT_EQ(sum.count, 3u);
-  EXPECT_DOUBLE_EQ(sum.median, 3.0);
-}
-
-TEST(TimeSeriesOps, MaxGap) {
-  TimeSeries s;
-  s.push_back(TimePoint{0, 0});
-  s.push_back(TimePoint{util::kHour, 0});
-  s.push_back(TimePoint{5 * util::kHour, 0});
-  EXPECT_EQ(max_gap(s), 4 * util::kHour);
-  EXPECT_EQ(max_gap({}), 0);
-}
-
-TEST(TimeSeriesOps, RollingMean) {
-  const TimeSeries s = make_series({2, 4, 6, 8});
-  const TimeSeries r = rolling_mean(s, 2);
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_DOUBLE_EQ(r[0].value, 2.0);  // prefix shorter than window
-  EXPECT_DOUBLE_EQ(r[1].value, 3.0);
-  EXPECT_DOUBLE_EQ(r[2].value, 5.0);
-  EXPECT_DOUBLE_EQ(r[3].value, 7.0);
 }
 
 // --------------------------------------------- consistency with partition

@@ -56,8 +56,8 @@ class RecordingStrategy final : public ShardingStrategy {
 
   bool should_repartition(const WindowSnapshot& snapshot,
                           const SimulatorEnv& env) override {
-    // Quiet windows produce no sample (skip_empty_windows), so record
-    // only what the simulator records.
+    // Quiet windows produce no sample, so record only what the
+    // simulator records.
     if (snapshot.interactions > 0) {
       const graph::Graph g = env.cumulative_graph();
       expected_.emplace_back(
@@ -94,7 +94,6 @@ void expect_incremental_matches_scratch(const std::string& spec,
       StrategyRegistry::global().make(spec, /*default_seed=*/7));
   SimulatorConfig cfg;
   cfg.k = k;
-  cfg.skip_empty_windows = true;
   ShardingSimulator sim(history, strategy, cfg);
   const SimulationResult result = sim.run();
 

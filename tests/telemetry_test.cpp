@@ -142,14 +142,17 @@ TEST(Telemetry, RecordedLinesMatchSimulationResult) {
   const TelemetryRun run = run_with_telemetry(Method::kHashing);
   const SimulationResult& r = run.result;
   std::size_t recorded = 0;
+  std::size_t unrecorded = 0;
   for (const std::string& line : run.lines) {
     const auto m = as_map(parse_line(line));
     const std::uint64_t start = std::stoull(m.at("window_start"));
     const std::uint64_t end = std::stoull(m.at("window_end"));
     EXPECT_LT(start, end);
     EXPECT_GE(std::stod(m.at("window_wall_ms")), 0.0);
+    const bool busy = std::stoull(m.at("interactions")) > 0;
+    EXPECT_EQ(m.at("recorded"), busy ? "true" : "false") << line;
     if (m.at("recorded") != "true") {
-      EXPECT_EQ(m.at("interactions"), "0");
+      ++unrecorded;
       continue;
     }
     ASSERT_LT(recorded, r.windows.size());
@@ -168,6 +171,8 @@ TEST(Telemetry, RecordedLinesMatchSimulationResult) {
     ++recorded;
   }
   EXPECT_EQ(recorded, r.windows.size());
+  // Quiet windows still emit a line, but no WindowSample.
+  EXPECT_GT(unrecorded, 0u);
 }
 
 TEST(Telemetry, RepartitionRecordsCarryEventFields) {

@@ -916,6 +916,18 @@ TEST(BigQueryImport, RejectsTimestampRegression) {
                       "1500000000, before block 10's 1500000100");
 }
 
+TEST(BigQueryImport, RejectsInconsistentTimestampWithinBlock) {
+  std::string csv = kTracesHeader;
+  csv += "100,1500000000,0xaa," + addr(1) + "," + addr(2) +
+         ",5,call,0xdead\n";
+  csv += "100,1500009999,0xbb," + addr(3) + "," + addr(4) + ",9,call,0x\n";
+  csv += "101,1500000015,0xcc," + addr(1) + "," + addr(5) +
+         ",0,create,0x6080\n";
+  expect_import_error(csv,
+                      "traces CSV line 3: inconsistent timestamp within "
+                      "block 100 (1500009999, first row 1500000000)");
+}
+
 TEST(BigQueryImport, RejectsMissingColumns) {
   std::istringstream in("block_number,from_address\n1,0xab\n");
   EXPECT_THROW(import_bigquery_traces(in), util::CheckFailure);

@@ -14,11 +14,13 @@
 // workflow a user with the authors' published trace would follow: convert
 // it to the flat CSV schema (see workload/trace_io.hpp) and point any
 // subcommand at it.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/result_io.hpp"
@@ -38,6 +40,7 @@
 #include "partition/quality.hpp"
 #include "partition/spectral.hpp"
 #include "partition/streaming.hpp"
+#include "partition/types.hpp"
 #include "scenario/report.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -137,6 +140,32 @@ util::Timestamp parse_date(const std::string& s) {
   ETHSHARD_CHECK_MSG(std::sscanf(s.c_str(), "%d-%d-%d", &y, &m, &d) == 3,
                      "bad date '" << s << "' (want YYYY-MM-DD)");
   return util::make_timestamp(y, m, d);
+}
+
+/// The --shards value: one shard count, or with `list` a comma-separated
+/// list of them (compare's grid). A count must be a whole number k >= 1
+/// that fits a ShardId below partition::kUnassigned. Commands read it
+/// before they load any history, so a bad value fails at once, by name.
+std::vector<std::uint32_t> shard_counts(const util::ArgParser& args,
+                                        bool list) {
+  const std::string value = args.get("shards", list ? "2,4,8" : "2");
+  std::vector<std::uint32_t> counts;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t end = list ? value.find(',', begin) : std::string::npos;
+    const std::string token = value.substr(begin, end - begin);
+    const char* last = token.data() + token.size();
+    std::uint64_t k = 0;
+    const auto [ptr, ec] = std::from_chars(token.data(), last, k);
+    ETHSHARD_CHECK_MSG(ec == std::errc{} && ptr == last && k >= 1 &&
+                           k < partition::kUnassigned,
+                       "--shards " << value << ": '" << token
+                                   << "' is not a shard count in [1, "
+                                   << partition::kUnassigned - 1 << "]");
+    counts.push_back(static_cast<std::uint32_t>(k));
+    if (end == std::string::npos) return counts;
+    begin = end + 1;
+  }
 }
 
 /// Generator configuration from --preset/--scale/--seed, with --max-scale
@@ -293,6 +322,7 @@ int cmd_simulate(const util::ArgParser& args) {
   // trace file) and never materializes the chain; otherwise the whole
   // history is loaded first, exactly as before. Results are
   // bit-identical across the two paths.
+  const std::uint32_t k = shard_counts(args, false).front();
   const bool stream = args.get_bool("stream", false);
   std::unique_ptr<workload::BlockSource> source;
   std::optional<workload::History> history;
@@ -300,7 +330,6 @@ int cmd_simulate(const util::ArgParser& args) {
     source = make_source_factory(args)->open();
   else
     history.emplace(load_history(args));
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
 
   // --method takes a registry spec: a bare name ("R-METIS", or the
   // paper-figure alias "P-METIS") or name:key=value,... for tuning.
@@ -370,8 +399,8 @@ int cmd_simulate(const util::ArgParser& args) {
 }
 
 int cmd_partition(const util::ArgParser& args) {
+  const std::uint32_t k = shard_counts(args, false).front();
   const workload::History history = load_history(args);
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
   const std::string only = args.get("method", "");
 
   // Build the final cumulative graph (§II-B).
@@ -497,7 +526,7 @@ int cmd_metis_export(const util::ArgParser& args) {
 int cmd_metis_eval(const util::ArgParser& args) {
   const std::string part_path = args.get("part", "");
   ETHSHARD_CHECK_MSG(!part_path.empty(), "metis-eval requires --part PATH");
-  const auto k = static_cast<std::uint32_t>(args.get_uint("shards", 2));
+  const std::uint32_t k = shard_counts(args, false).front();
   const workload::History history = load_history(args);
   const graph::Graph g = final_graph(history);
 
@@ -515,6 +544,8 @@ int cmd_compare(const util::ArgParser& args) {
   // --stream: every grid cell opens its own pull-based stream (the
   // factory re-generates or re-reads the trace per cell) instead of all
   // cells sharing one materialized History. Same results.
+  core::ExperimentConfig cfg;
+  cfg.shard_counts = shard_counts(args, true);
   const bool stream = args.get_bool("stream", false);
   std::unique_ptr<workload::BlockSourceFactory> sources;
   std::optional<workload::History> history;
@@ -522,22 +553,12 @@ int cmd_compare(const util::ArgParser& args) {
     sources = make_source_factory(args);
   else
     history.emplace(load_history(args));
-  core::ExperimentConfig cfg;
   cfg.seed = args.get_uint("seed", 7);
   if (args.get_bool("gas", false)) cfg.load_model = core::LoadModel::kGas;
   // --threads sizes the grid; each cell's partitioner auto-fits whatever
   // hardware budget the grid workers leave (never oversubscribing).
   cfg.threads = static_cast<std::size_t>(args.get_uint("threads", 0));
   cfg.partitioner_threads = 0;
-
-  const std::string shards = args.get("shards", "2,4,8");
-  cfg.shard_counts.clear();
-  std::stringstream ss(shards);
-  std::string token;
-  while (std::getline(ss, token, ','))
-    cfg.shard_counts.push_back(
-        static_cast<std::uint32_t>(std::stoul(token)));
-  ETHSHARD_CHECK_MSG(!cfg.shard_counts.empty(), "empty --shards list");
 
   const auto runs = stream ? core::run_experiment(*sources, cfg)
                            : core::run_experiment(*history, cfg);
