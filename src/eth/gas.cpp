@@ -44,4 +44,9 @@ std::uint64_t transaction_gas(const Transaction& tx,
       tx, [](AccountId) { return true; }, schedule);
 }
 
+std::uint64_t transaction_fee(const Transaction& tx,
+                              const GasSchedule& schedule) {
+  return transaction_gas(tx, schedule) * tx.gas_price;
+}
+
 }  // namespace ethshard::eth

@@ -49,4 +49,8 @@ std::uint64_t transaction_gas(const Transaction& tx,
 std::uint64_t transaction_gas(const Transaction& tx,
                               const GasSchedule& schedule = {});
 
+/// Fee in wei: gas × gas_price (all callees assumed to pre-exist).
+std::uint64_t transaction_fee(const Transaction& tx,
+                              const GasSchedule& schedule = {});
+
 }  // namespace ethshard::eth

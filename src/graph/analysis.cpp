@@ -106,6 +106,44 @@ CoreDecomposition kcore_decomposition(const Graph& g) {
   return result;
 }
 
+ClusteringStats clustering(const Graph& g) {
+  const std::uint64_t n = g.num_vertices();
+  ClusteringStats stats;
+  if (n == 0) return stats;
+  ETHSHARD_CHECK(!g.directed());
+
+  // Orient each edge from lower-(degree, id) to higher; each triangle is
+  // counted exactly once at its lowest-ranked vertex.
+  auto rank_less = [&](Vertex a, Vertex b) {
+    const std::uint64_t da = g.degree(a);
+    const std::uint64_t db = g.degree(b);
+    return da < db || (da == db && a < b);
+  };
+
+  std::vector<std::vector<Vertex>> forward(n);
+  for (Vertex v = 0; v < n; ++v)
+    for (const Arc& a : g.neighbors(v))
+      if (rank_less(v, a.to)) forward[v].push_back(a.to);
+
+  std::vector<std::uint64_t> mark(n, 0);
+  std::uint64_t stamp = 0;
+  std::uint64_t wedges = 0;
+  for (Vertex v = 0; v < n; ++v) {
+    const std::uint64_t d = g.degree(v);
+    wedges += d * (d - 1) / 2;
+    ++stamp;
+    for (Vertex u : forward[v]) mark[u] = stamp;
+    for (Vertex u : forward[v])
+      for (Vertex w : forward[u])
+        if (mark[w] == stamp) ++stats.triangles;
+  }
+  if (wedges > 0)
+    stats.global_coefficient =
+        3.0 * static_cast<double>(stats.triangles) /
+        static_cast<double>(wedges);
+  return stats;
+}
+
 DegreeStats degree_statistics(const Graph& g) {
   DegreeStats stats;
   const std::uint64_t n = g.num_vertices();

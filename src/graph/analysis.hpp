@@ -57,4 +57,16 @@ struct CoreDecomposition {
 
 CoreDecomposition kcore_decomposition(const Graph& g);
 
+/// Triangle counting / clustering.
+struct ClusteringStats {
+  std::uint64_t triangles = 0;  ///< distinct triangles in the graph
+  /// Global clustering coefficient: 3·triangles / open-or-closed wedges,
+  /// in [0, 1]; 0 when the graph has no wedge.
+  double global_coefficient = 0;
+};
+
+/// Counts triangles with the rank-ordered wedge method, O(m^{3/2}) worst
+/// case. Precondition: g undirected.
+ClusteringStats clustering(const Graph& g);
+
 }  // namespace ethshard::graph

@@ -45,6 +45,11 @@ CivilDate to_civil(Timestamp ts) {
   return civil_from_days(days);
 }
 
+Timestamp month_floor(Timestamp ts) {
+  const CivilDate c = to_civil(ts);
+  return make_timestamp(c.year, c.month, 1);
+}
+
 Timestamp add_months(Timestamp ts, int n) {
   const CivilDate c = to_civil(ts);
   int idx = c.year * 12 + (c.month - 1) + n;

@@ -47,6 +47,9 @@ Timestamp make_timestamp(int year, int month, int day);
 /// Civil date containing the timestamp.
 CivilDate to_civil(Timestamp ts);
 
+/// Timestamp truncated to the first instant of its month.
+Timestamp month_floor(Timestamp ts);
+
 /// First instant of the month `n` months after the month containing ts.
 Timestamp add_months(Timestamp ts, int n);
 

@@ -734,6 +734,37 @@ TEST(Analysis, KCoreMonotoneUnderDegree) {
   EXPECT_GE(d.max_core, 3u);  // BA(m=3) has a >=3-core
 }
 
+TEST(Analysis, TriangleCountKnownGraphs) {
+  EXPECT_EQ(clustering(make_complete(4)).triangles, 4u);
+  EXPECT_EQ(clustering(make_complete(5)).triangles, 10u);
+  EXPECT_EQ(clustering(make_path(10)).triangles, 0u);
+  EXPECT_EQ(clustering(make_cycle(5)).triangles, 0u);
+  EXPECT_EQ(clustering(make_cycle(3)).triangles, 1u);
+}
+
+TEST(Analysis, ClusteringCoefficientBounds) {
+  // Complete graph: every wedge closes → coefficient 1.
+  EXPECT_DOUBLE_EQ(clustering(make_complete(6)).global_coefficient, 1.0);
+  // Star: no triangles.
+  GraphBuilder b;
+  b.ensure_vertices(5);
+  for (Vertex leaf = 1; leaf <= 4; ++leaf) b.add_edge(0, leaf);
+  EXPECT_DOUBLE_EQ(clustering(b.build_undirected()).global_coefficient,
+                   0.0);
+}
+
+TEST(Analysis, TwoCliquesTriangles) {
+  // Two K10 cliques joined by one bridge: 2 * C(10,3) triangles.
+  const Graph g = make_two_cliques(20, 1);
+  EXPECT_EQ(clustering(g).triangles, 2u * 120u);
+}
+
+TEST(Analysis, ClusteringEmptyGraph) {
+  const ClusteringStats s = clustering(Graph{});
+  EXPECT_EQ(s.triangles, 0u);
+  EXPECT_DOUBLE_EQ(s.global_coefficient, 0.0);
+}
+
 // -------------------------------------------------------------- serialize
 
 bool graphs_identical(const Graph& a, const Graph& b) {

@@ -70,6 +70,11 @@ TEST(Gas, TraceCreatedAccountCountsAsExistingLater) {
                      2 * s.g_memory_per_call);
 }
 
+TEST(Gas, FeeIsGasTimesPrice) {
+  const Transaction tx = transfer_tx(1, 2, 100, /*gas_price=*/7);
+  EXPECT_EQ(transaction_fee(tx), transaction_gas(tx) * 7);
+}
+
 TEST(Gas, CascadeCostsAccumulate) {
   Transaction tx;
   tx.sender = 1;

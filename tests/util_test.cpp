@@ -154,6 +154,11 @@ TEST(SimTime, LeapYearHandling) {
   EXPECT_EQ(days_from_civil(2017, 3, 1) - days_from_civil(2017, 2, 28), 1);
 }
 
+TEST(SimTime, MonthFloor) {
+  const Timestamp mid = make_timestamp(2016, 9, 18) + 5 * kHour;
+  EXPECT_EQ(month_floor(mid), make_timestamp(2016, 9, 1));
+}
+
 TEST(SimTime, AddMonthsAcrossYearBoundary) {
   const Timestamp nov = make_timestamp(2015, 11, 10);
   EXPECT_EQ(add_months(nov, 2), make_timestamp(2016, 1, 1));
